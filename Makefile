@@ -3,9 +3,10 @@
 
 GO ?= go
 
-# How long `make fuzz` spends on each format-reader fuzz target.
+# How long `make fuzz` spends on each fuzz target.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = FuzzEdgeList FuzzAdjList FuzzJSON FuzzHTCGraph FuzzSniff FuzzTruth
+SERVER_FUZZ_TARGETS = FuzzAlignRequest FuzzRefineRequest FuzzBuildDataset
 
 .PHONY: build test test-ann test-refine lint bench bench-snapshot bench-io bench-gate fuzz ci
 
@@ -77,11 +78,17 @@ bench-gate:
 	./scripts/bench_check.sh BENCH_io.json BENCH_io.ci.json 2.0 1.5
 
 # Short fuzz smoke over every registered format reader plus the sniffer
-# and the truth parser (go test -fuzz accepts one target at a time).
+# and the truth parser, then over the server's JSON entry points (align
+# and sweep admission, refine admission, dataset upload ingestion); go
+# test -fuzz accepts one target at a time.
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		echo "== fuzz $$t ($(FUZZTIME)) =="; \
 		$(GO) test ./internal/ingest/ -run='^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) || exit 1; \
+	done
+	@for t in $(SERVER_FUZZ_TARGETS); do \
+		echo "== fuzz $$t ($(FUZZTIME)) =="; \
+		$(GO) test ./internal/server/ -run='^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) || exit 1; \
 	done
 
 ci: lint build test test-ann test-refine fuzz bench bench-gate

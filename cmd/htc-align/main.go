@@ -8,7 +8,7 @@
 //	          [-variant HTC|HTC-L|HTC-H|HTC-LT|HTC-DT[,more...]] [-seed 1]
 //	          [-truth truth.txt] [-top 1] [-progress]
 //	          [-sim auto|dense|topk|ann] [-topk K] [-ann-bits B] [-ann-probes P]
-//	          [-ann-pool-cap C] [-precision auto|f64|f32]
+//	          [-ann-pool-cap C]
 //	          [-refine-iters N] [-refine-token-k K]
 //	          [-cpuprofile cpu.out] [-memprofile mem.out]
 //
@@ -38,11 +38,6 @@
 // implies -sim ann). ANN runs print a "# ann:" line with the index's
 // skew statistics — bucket balance, re-hashed hot buckets, mean/max
 // re-rank pool and the refit reuse ratio across fine-tune iterations.
-//
-// -precision selects the fine-tune compute tier: f64 (exact), f32 (the
-// half-width tier of the candidate backends — roughly halves similarity
-// memory traffic) or auto (the default — f32 past the same size
-// threshold that selects the ANN backend). Training always runs f64.
 //
 // -refine-iters runs that many RefiNA refinement iterations over the
 // integrated similarity (0, the default, skips the stage); -refine-token-k
@@ -87,7 +82,6 @@ func main() {
 	annBits := flag.Int("ann-bits", 0, "ANN LSH code width in bits (0 = automatic; implies -sim ann when set)")
 	annProbes := flag.Int("ann-probes", 0, "ANN buckets probed per query (0 = automatic; implies -sim ann when set)")
 	annPoolCap := flag.Int("ann-pool-cap", 0, "ANN per-query re-rank pool bound (0 = unbounded; implies -sim ann when set)")
-	precision := flag.String("precision", "auto", "fine-tune compute tier: auto, f64 or f32")
 	refineIters := flag.Int("refine-iters", 0, "RefiNA refinement iterations after integration (0 = no refinement)")
 	refineTokenK := flag.Int("refine-token-k", 0, "token-match budget per row during refinement (0 = automatic; needs -refine-iters)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -99,10 +93,6 @@ func main() {
 		os.Exit(2)
 	}
 	backend, err := htc.ParseSimBackend(*sim)
-	if err != nil {
-		log.Fatal(err)
-	}
-	prec, err := htc.ParsePrecision(*precision)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -157,7 +147,7 @@ func main() {
 		variants = append(variants, v)
 	}
 
-	base := htc.Config{K: *k, Epochs: *epochs, Seed: *seed, Similarity: backend, CandidateK: *topk, AnnBits: *annBits, AnnProbes: *annProbes, AnnPoolCap: *annPoolCap, Precision: prec, RefineIters: *refineIters, RefineTokenK: *refineTokenK}
+	base := htc.Config{K: *k, Epochs: *epochs, Seed: *seed, Similarity: backend, CandidateK: *topk, AnnBits: *annBits, AnnProbes: *annProbes, AnnPoolCap: *annPoolCap, RefineIters: *refineIters, RefineTokenK: *refineTokenK}
 	if *progress {
 		base.Progress = progressLogger()
 	}
@@ -192,7 +182,6 @@ func main() {
 		if res.AnnBits > 0 {
 			simNote = fmt.Sprintf("%s bits=%d probes=%d", simNote, res.AnnBits, res.AnnProbes)
 		}
-		simNote = fmt.Sprintf("%s prec=%s", simNote, res.Precision)
 		fmt.Printf("# aligned %d source nodes (%s) to %d target nodes (%s) (%s, %s)\n",
 			gs.N(), pair.SourceFormat, gt.N(), pair.TargetFormat, v, simNote)
 		fmt.Printf("# timings: %v\n", res.Timings)

@@ -11,6 +11,7 @@
 //
 // For econ and bn (single networks), -remove controls the edge-removal
 // ratio used to derive the target, as in the paper's robustness study.
+// -out is created, with any missing parents, if it does not exist.
 //
 // -format selects the output writer (default htc-graph). The edgelist
 // format carries no attributes, so it only suits the attribute-free
@@ -75,35 +76,50 @@ func main() {
 		log.Fatalf("unknown dataset %q", *dataset)
 	}
 
-	ext := map[string]string{"htc-graph": ".graph", "edgelist": ".edges", "json": ".json", "adjlist": ".adj"}[*format]
-	if ext == "" {
-		log.Fatalf("unknown output format %q (use htc-graph, edgelist, json or adjlist)", *format)
+	if err := writePair(*out, *dataset, *format, pair); err != nil {
+		log.Fatal(err)
 	}
-	writeGraph(filepath.Join(*out, *dataset+"_source"+ext), pair.Source, *format)
-	writeGraph(filepath.Join(*out, *dataset+"_target"+ext), pair.Target, *format)
-	writeTruth(filepath.Join(*out, *dataset+"_truth.txt"), pair.Truth, pair.Source.N(), pair.Target.N())
 	fmt.Printf("wrote %s pair (%s): source %v, target %v, %d anchors\n",
 		pair.Name, *format, pair.Source, pair.Target, pair.Truth.NumAnchors())
 }
 
-func writeGraph(path string, g *htc.Graph, format string) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
+// writePair writes the pair as <name>_source.<ext>, <name>_target.<ext>
+// and <name>_truth.txt under dir, creating dir and any missing parents
+// first.
+func writePair(dir, name, format string, pair *datasets.Pair) error {
+	ext := map[string]string{"htc-graph": ".graph", "edgelist": ".edges", "json": ".json", "adjlist": ".adj"}[format]
+	if ext == "" {
+		return fmt.Errorf("unknown output format %q (use htc-graph, edgelist, json or adjlist)", format)
 	}
-	defer f.Close()
-	if err := htc.WriteGraphAs(f, g, nil, format); err != nil {
-		log.Fatalf("%s: %v", path, err)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
 	}
+	if err := writeFile(filepath.Join(dir, name+"_source"+ext), func(f *os.File) error {
+		return htc.WriteGraphAs(f, pair.Source, nil, format)
+	}); err != nil {
+		return err
+	}
+	if err := writeFile(filepath.Join(dir, name+"_target"+ext), func(f *os.File) error {
+		return htc.WriteGraphAs(f, pair.Target, nil, format)
+	}); err != nil {
+		return err
+	}
+	ns, nt := pair.Source.N(), pair.Target.N()
+	return writeFile(filepath.Join(dir, name+"_truth.txt"), func(f *os.File) error {
+		return ingest.WriteTruth(f, pair.Truth, ingest.Identity(ns), ingest.Identity(nt))
+	})
 }
 
-func writeTruth(path string, truth htc.Truth, ns, nt int) {
+// writeFile creates path and fills it through write, reporting the first
+// error of either step or of closing the file.
+func writeFile(path string, write func(*os.File) error) error {
 	f, err := os.Create(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	defer f.Close()
-	if err := ingest.WriteTruth(f, truth, ingest.Identity(ns), ingest.Identity(nt)); err != nil {
-		log.Fatalf("%s: %v", path, err)
+	if err := write(f); err != nil {
+		f.Close()
+		return fmt.Errorf("%s: %w", path, err)
 	}
+	return f.Close()
 }

@@ -6,7 +6,7 @@
 //	htc-experiments -run table1|table2|table3|fig6|fig7|fig8|fig9|fig10|fig11|all
 //	                [-scale 1.0] [-seed 1] [-epochs 0] [-progress]
 //	                [-sim auto|dense|topk|ann] [-topk K] [-ann-bits B] [-ann-probes P]
-//	                [-ann-pool-cap C] [-precision auto|f64|f32]
+//	                [-ann-pool-cap C]
 //	                [-refine-iters N] [-refine-token-k K]
 //	htc-experiments -source s.edges -target t.edges [-truth pairs.tsv]
 //	                [-format auto|htc-graph|edgelist|json|adjlist] ...
@@ -21,13 +21,11 @@
 // per-stage pipeline progress to stderr. -sim/-topk and the -ann-* flags
 // select and tune the HTC similarity backend (baselines are unaffected),
 // so the top-k and ANN approximations can be measured against the paper
-// numbers; -precision selects the fine-tune compute tier the same way
-// (f32 requires a candidate backend). -refine-iters appends the RefiNA
-// refinement stage to every HTC run and adds a "p@1 raw" (unrefined)
-// column to the variant tables, so the refinement lift is measurable per
-// variant; -refine-token-k tunes its token budget. Output is
-// plain text, one section per artefact; EXPERIMENTS.md records a
-// reference run.
+// numbers. -refine-iters appends the RefiNA refinement stage to every
+// HTC run and adds a "p@1 raw" (unrefined) column to the variant tables,
+// so the refinement lift is measurable per variant; -refine-token-k
+// tunes its token budget. Output is plain text, one section per
+// artefact; EXPERIMENTS.md records a reference run.
 //
 // The variant and hyperparameter sweeps (table3, fig10, fig11) run on
 // the staged Prepare/Align API: each graph pair's orbit counts and
@@ -60,7 +58,6 @@ func main() {
 	annBits := flag.Int("ann-bits", 0, "ANN LSH code width in bits (0 = automatic; implies -sim ann when set)")
 	annProbes := flag.Int("ann-probes", 0, "ANN buckets probed per query (0 = automatic; implies -sim ann when set)")
 	annPoolCap := flag.Int("ann-pool-cap", 0, "ANN per-query re-rank pool bound (0 = unbounded; implies -sim ann when set)")
-	precision := flag.String("precision", "auto", "HTC fine-tune compute tier: auto, f64 or f32")
 	refineIters := flag.Int("refine-iters", 0, "RefiNA refinement iterations after every HTC integration (0 = no refinement)")
 	refineTokenK := flag.Int("refine-token-k", 0, "refinement token-match budget per row (0 = automatic; needs -refine-iters)")
 	sourcePath := flag.String("source", "", "custom run: source graph file (any registered format)")
@@ -83,11 +80,7 @@ func main() {
 	} else if *topk > 0 && backend == htc.SimilarityAuto {
 		backend = htc.SimilarityTopK
 	}
-	prec, err := htc.ParsePrecision(*precision)
-	if err != nil {
-		log.Fatal(err)
-	}
-	o := experiments.Options{Scale: *scale, Seed: *seed, Epochs: *epochs, Similarity: backend, CandidateK: *topk, AnnBits: *annBits, AnnProbes: *annProbes, AnnPoolCap: *annPoolCap, Precision: prec, RefineIters: *refineIters, RefineTokenK: *refineTokenK}
+	o := experiments.Options{Scale: *scale, Seed: *seed, Epochs: *epochs, Similarity: backend, CandidateK: *topk, AnnBits: *annBits, AnnProbes: *annProbes, AnnPoolCap: *annPoolCap, RefineIters: *refineIters, RefineTokenK: *refineTokenK}
 	if *progress {
 		o.Progress = stageLogger()
 	}

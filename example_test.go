@@ -223,52 +223,6 @@ func ExampleAlign_ann() {
 	// recovered 6/6 hidden anchors
 }
 
-// ExampleAlign_f32 demonstrates the float32 compute tier:
-// Config.Precision = PrecisionF32 runs the candidate-generation kernels
-// of the fine-tune loop on half-width embedding copies (float64
-// accumulators keep rankings stable), roughly halving similarity memory
-// traffic. Training always stays float64, and the tier requires a
-// candidate backend — the dense path has no float32 tier. Left on
-// PrecisionAuto, the tier flips to f32 automatically on pairs large
-// enough to select the ANN backend.
-func ExampleAlign_f32() {
-	b := htc.NewBuilder(6)
-	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}, {2, 3}} {
-		b.AddEdge(e[0], e[1])
-	}
-	attrs := htc.NewMatrix(6, 2)
-	for i := 0; i < 6; i++ {
-		attrs.Set(i, 0, float64(i)/6)
-		attrs.Set(i, 1, float64(i%2))
-	}
-	gs := b.Build().WithAttrs(attrs)
-	perm := htc.Permutation(6, 3)
-	gt := htc.Relabel(gs, perm)
-
-	cfg := htc.Config{K: 4, Hidden: 8, Embed: 4, Epochs: 40, M: 2, Seed: 1}
-	cfg.Similarity = htc.SimilarityTopK
-	cfg.CandidateK = 4
-	cfg.Precision = htc.PrecisionF32
-	res, err := htc.Align(gs, gt, cfg)
-	if err != nil {
-		panic(err)
-	}
-
-	correct := 0
-	for s, t := range res.Predict() {
-		if t == perm[s] {
-			correct++
-		}
-	}
-	fmt.Println("backend:", res.SimBackend)
-	fmt.Println("precision:", res.Precision)
-	fmt.Printf("recovered %d/6 hidden anchors\n", correct)
-	// Output:
-	// backend: topk
-	// precision: f32
-	// recovered 6/6 hidden anchors
-}
-
 // ExampleCountEdgeOrbits shows the raw higher-order signal HTC builds on:
 // the two edges of the paper's Fig. 5 example are indistinguishable by
 // plain adjacency (orbit 0) but differ on orbits 1 and 4.

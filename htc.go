@@ -106,29 +106,6 @@ const (
 // "ann", case-insensitive) into a SimBackend.
 func ParseSimBackend(s string) (SimBackend, error) { return core.ParseSimBackend(s) }
 
-// Precision selects the compute tier of the fine-tune similarity stage
-// (Config.Precision). Training always runs float64.
-type Precision = core.Precision
-
-// The compute tiers of Config.Precision.
-const (
-	// PrecisionAuto (the default) keeps float64 on small pairs and flips
-	// to float32 past the same size threshold that selects the ANN
-	// backend, where memory traffic dominates.
-	PrecisionAuto = core.PrecisionAuto
-	// PrecisionF64 forces the exact float64 tier everywhere.
-	PrecisionF64 = core.PrecisionF64
-	// PrecisionF32 runs the candidate-generation kernels on float32
-	// storage with float64 accumulators — roughly half the similarity
-	// memory traffic. Requires a candidate backend (topk or ann): the
-	// dense backend has no float32 tier.
-	PrecisionF32 = core.PrecisionF32
-)
-
-// ParsePrecision resolves a precision name ("auto", "f64", "f32" and
-// common synonyms, case-insensitive) into a Precision.
-func ParsePrecision(s string) (Precision, error) { return core.ParsePrecision(s) }
-
 // OrbitOutcome reports one orbit's trusted pairs and importance weight.
 type OrbitOutcome = core.OrbitOutcome
 

@@ -44,15 +44,6 @@ type FineTuneConfig struct {
 	// candidate lists, and with Probes ≥ 2^Bits the loop is
 	// bit-identical to the exact top-k path.
 	Ann ann.Params
-	// F32 runs the candidate generators on the float32 compute tier:
-	// each iteration's embeddings are converted once (fused with the
-	// center/normalize pass) into half-width copies, and projection,
-	// hashing and re-rank read float32 values with float64 accumulators.
-	// Candidate scores widen monotonically back to float64, so the loop
-	// body is tier-independent. Only meaningful with TopK ≥ 1 — the
-	// dense backend has no float32 tier (core validation rejects the
-	// combination before it gets here).
-	F32 bool
 	// KeepEmbeddings snapshots the best iteration's Hs/Ht into the
 	// result. Off by default: the copies are two n×d matrices per
 	// improving iteration, and most callers only want M.
@@ -168,18 +159,7 @@ func FineTune(enc *nn.Encoder, lapS, lapT *sparse.CSR, xs, xt *dense.Matrix, cfg
 		// exact blocked scan and the LSH index alike — each direction
 		// keeps its own scratch across iterations.
 		var fwdGen, bwdGen func(a, b *dense.Matrix) *Candidates
-		switch {
-		case cfg.Ann.Bits > 0 && cfg.F32:
-			fa := &annScratch32{p: cfg.Ann}
-			ba := &annScratch32{p: cfg.Ann}
-			fwdGen = func(a, b *dense.Matrix) *Candidates { return fa.topK(a, b, cfg.TopK, w) }
-			bwdGen = func(a, b *dense.Matrix) *Candidates { return ba.topK(a, b, cfg.TopK, w) }
-			defer func() {
-				st := fa.stats()
-				st.Merge(ba.stats())
-				res.AnnStats = &st
-			}()
-		case cfg.Ann.Bits > 0:
+		if cfg.Ann.Bits > 0 {
 			fa := &annScratch{p: cfg.Ann}
 			ba := &annScratch{p: cfg.Ann}
 			fwdGen = func(a, b *dense.Matrix) *Candidates { return fa.topK(a, b, cfg.TopK, w) }
@@ -189,11 +169,7 @@ func FineTune(enc *nn.Encoder, lapS, lapT *sparse.CSR, xs, xt *dense.Matrix, cfg
 				st.Merge(ba.stats())
 				res.AnnStats = &st
 			}()
-		case cfg.F32:
-			var fs, bs topkScratch32
-			fwdGen = func(a, b *dense.Matrix) *Candidates { return fs.topK(a, b, cfg.TopK, w) }
-			bwdGen = func(a, b *dense.Matrix) *Candidates { return bs.topK(a, b, cfg.TopK, w) }
-		default:
+		} else {
 			var fs, bs topkScratch
 			fwdGen = func(a, b *dense.Matrix) *Candidates { return fs.topK(a, b, cfg.TopK, w) }
 			bwdGen = func(a, b *dense.Matrix) *Candidates { return bs.topK(a, b, cfg.TopK, w) }

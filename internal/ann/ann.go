@@ -134,21 +134,19 @@ type Result struct {
 // embeddings into the same scratch, incrementally) but not concurrently
 // usable.
 type Index struct {
-	p      Params
-	data   *dense.Matrix   // fitted rows (borrowed, not copied); nil on the f32 tier
-	data32 *dense.Matrix32 // fitted rows of the f32 tier; exactly one of data/data32 is set
-	n      int
+	p    Params
+	data *dense.Matrix // fitted rows (borrowed, not copied)
+	n    int
 
-	planes *dense.Matrix   // Bits×d effective hyperplanes: G·T, whitened unless Unbalanced
-	bias   []float64       // per-bit centering offsets μ·w̃ (zero when Unbalanced)
-	xform  *dense.Matrix   // d×d whitening transform T (nil when Unbalanced)
-	snap   *dense.Matrix   // row values as of each row's last recode
-	snap32 *dense.Matrix32 // f32-tier snapshot (mirrors snap)
-	proj   *dense.Matrix   // n×Bits row projections (scratch)
-	codes  []uint32        // per-row bucket code
-	start  []int32         // CSR bucket offsets, len 2^Bits+1
-	order  []int32         // row ids grouped by bucket, stable in row order
-	cursor []int32         // counting-sort scratch
+	planes *dense.Matrix // Bits×d effective hyperplanes: G·T, whitened unless Unbalanced
+	bias   []float64     // per-bit centering offsets μ·w̃ (zero when Unbalanced)
+	xform  *dense.Matrix // d×d whitening transform T (nil when Unbalanced)
+	snap   *dense.Matrix // row values as of each row's last recode
+	proj   *dense.Matrix // n×Bits row projections (scratch)
+	codes  []uint32      // per-row bucket code
+	start  []int32       // CSR bucket offsets, len 2^Bits+1
+	order  []int32       // row ids grouped by bucket, stable in row order
+	cursor []int32       // counting-sort scratch
 
 	subs      []subTable // second-level tables of re-hashed oversized buckets
 	subOf     []int32    // per bucket: index into subs, or -1
@@ -198,7 +196,6 @@ func (ix *Index) Stats() Stats {
 // in place. A shape change rebuilds the index from scratch.
 func (ix *Index) Fit(data *dense.Matrix, workers int) {
 	ix.data = data
-	ix.data32 = nil
 	ix.n = data.Rows
 	ix.stats.Fits++
 	if ix.p.Exact() || ix.n == 0 {
@@ -208,7 +205,7 @@ func (ix *Index) Fit(data *dense.Matrix, workers int) {
 	fresh := ix.planes == nil || ix.planes.Cols != data.Cols ||
 		ix.snap == nil || ix.snap.Rows != ix.n
 	if fresh {
-		ix.buildTransform(data.Cols, data.Rows, data.Row)
+		ix.buildTransform(data)
 	}
 	ix.codes = growInt32sAsU32(ix.codes, ix.n)
 	if fresh || ix.p.RefitEps < 0 {
@@ -280,100 +277,6 @@ func (ix *Index) refit(data *dense.Matrix, workers int) {
 	ix.stats.Reused += int64(ix.n) - rc
 }
 
-// Fit32 is Fit for the float32 compute tier: the same hash geometry and
-// incremental-refit contract over half-width rows. Projections and
-// movement tests accumulate in float64 (see dot32), so codes are exactly
-// as deterministic as the float64 tier's. An index fitted with Fit32
-// answers queries through TopK32.
-func (ix *Index) Fit32(data *dense.Matrix32, workers int) {
-	ix.data = nil
-	ix.data32 = data
-	ix.n = data.Rows
-	ix.stats.Fits++
-	if ix.p.Exact() || ix.n == 0 {
-		return
-	}
-	ix.stats.Rows += int64(ix.n)
-	fresh := ix.planes == nil || ix.planes.Cols != data.Cols ||
-		ix.snap32 == nil || ix.snap32.Rows != ix.n
-	if fresh {
-		// The whitening sample reads ~annSampleTarget rows; widening them
-		// through one reused buffer keeps the transform math — and hence
-		// the frozen geometry — in float64 regardless of the tier.
-		buf := make([]float64, data.Cols)
-		ix.buildTransform(data.Cols, data.Rows, func(i int) []float64 {
-			for j, v := range data.Row(i) {
-				buf[j] = float64(v)
-			}
-			return buf
-		})
-	}
-	ix.codes = growInt32sAsU32(ix.codes, ix.n)
-	if fresh || ix.p.RefitEps < 0 {
-		ix.proj = dense.Ensure(ix.proj, ix.n, ix.p.Bits)
-		dense.MulBTMixed32Into(ix.proj, data, ix.planes, workers)
-		par.For(workers, ix.n, ix.p.Bits, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				var c uint32
-				for j, v := range ix.proj.Row(i) {
-					if v-ix.bias[j] >= 0 {
-						c |= 1 << uint(j)
-					}
-				}
-				ix.codes[i] = c
-			}
-		})
-		ix.snap32 = dense.Ensure32(ix.snap32, ix.n, data.Cols)
-		ix.snap32.CopyFrom(data)
-		ix.stats.Recoded += int64(ix.n)
-	} else {
-		ix.refit32(data, workers)
-	}
-	ix.buildBuckets()
-	ix.buildSubs()
-}
-
-// refit32 mirrors refit over float32 rows: movement and re-projection
-// accumulate in float64, and a per-row recode is bit-identical to the
-// batch mixed-precision projection.
-func (ix *Index) refit32(data *dense.Matrix32, workers int) {
-	eps := ix.p.RefitEps
-	if eps == 0 {
-		eps = defaultRefitEps
-	}
-	eps2 := eps * eps
-	nbits := ix.p.Bits
-	var recoded atomic.Int64
-	par.For(workers, ix.n, 2*data.Cols*(nbits+1), func(lo, hi int) {
-		var rc int64
-		for i := lo; i < hi; i++ {
-			row, old := data.Row(i), ix.snap32.Row(i)
-			var d2, n2 float64
-			for l, v := range row {
-				dl := float64(v) - float64(old[l])
-				d2 += dl * dl
-				n2 += float64(v) * float64(v)
-			}
-			if d2 <= eps2*n2 {
-				continue
-			}
-			var c uint32
-			for j := 0; j < nbits; j++ {
-				if dot32(row, ix.planes.Row(j))-ix.bias[j] >= 0 {
-					c |= 1 << uint(j)
-				}
-			}
-			ix.codes[i] = c
-			copy(old, row)
-			rc++
-		}
-		recoded.Add(rc)
-	})
-	rc := recoded.Load()
-	ix.stats.Recoded += rc
-	ix.stats.Reused += int64(ix.n) - rc
-}
-
 // buildBuckets (re)assembles the CSR buckets from the codes — a stable
 // counting sort: offsets, then rows in ascending id order within each
 // bucket — and refreshes the last-fit occupancy statistics.
@@ -425,28 +328,7 @@ const annBlockRows = 128
 // reaches k. Results are bit-identical for every worker count, and on
 // the exact path bit-identical to the blocked exact scan.
 func (ix *Index) TopK(queries *dense.Matrix, k, workers int) *Result {
-	return ix.topk(queries.Rows, k, workers, func(s *searcher, r, kk int, outIdx []int32, outScore []float64) {
-		ix.search(s, queries.Row(r), nil, kk, outIdx, outScore)
-	})
-}
-
-// TopK32 answers batched queries on the float32 tier, against an index
-// fitted with Fit32. The probe machinery is shared with TopK; only the
-// three row-scoring points (query projection, sub-bucket projection,
-// exact re-rank) read half-width values, each with a float64
-// accumulator. Re-rank scores round to float32 before the final widen —
-// the same store semantics as dense.MulBTInto32 — so a full-probe
-// float32 index reproduces the blocked float32 top-k scan bit for bit.
-func (ix *Index) TopK32(queries *dense.Matrix32, k, workers int) *Result {
-	return ix.topk(queries.Rows, k, workers, func(s *searcher, r, kk int, outIdx []int32, outScore []float64) {
-		ix.search(s, nil, queries.Row(r), kk, outIdx, outScore)
-	})
-}
-
-// topk is the tier-agnostic batching wrapper behind TopK/TopK32: result
-// allocation, pool-cap resolution, worker scratch, block sharding and
-// the deterministic stats fold.
-func (ix *Index) topk(nq, k, workers int, query func(s *searcher, r, k int, outIdx []int32, outScore []float64)) *Result {
+	nq := queries.Rows
 	if k < 1 {
 		panic(fmt.Sprintf("ann: TopK k = %d < 1", k))
 	}
@@ -495,7 +377,7 @@ func (ix *Index) topk(nq, k, workers int, query func(s *searcher, r, k int, outI
 			hi = nq
 		}
 		for r := lo; r < hi; r++ {
-			query(s, r, k, out.Idx[r], out.Score[r])
+			ix.search(s, queries.Row(r), k, out.Idx[r], out.Score[r])
 		}
 	})
 	// Fold the per-worker counters into the index stats. Integer sums
@@ -531,8 +413,7 @@ type searcher struct {
 	subHeap probeHeap
 	visited []int32 // (lo, hi) sub-bucket spans taken from the current bucket
 
-	q   []float64 // current query row (borrowed during one search; nil on the f32 tier)
-	q32 []float32 // current f32-tier query row (exactly one of q/q32 is set)
+	q   []float64 // current query row (borrowed during one search)
 	cap int       // effective pool cap for this TopK call (0 = none)
 	sel selHeap
 
@@ -567,34 +448,23 @@ func (s *searcher) wantMore(k, probed, floor int) bool {
 // search fills one query's k best rows. The approximate path hashes the
 // query, walks buckets in multi-probe order until it has probed the
 // configured count and gathered ≥ k candidates, and exactly re-ranks the
-// pool; the exact path scans every row. Exactly one of q/q32 is non-nil
-// and selects the precision tier — both tiers share every structural
-// step and differ only where a row is scored.
-func (ix *Index) search(s *searcher, q []float64, q32 []float32, k int, outIdx []int32, outScore []float64) {
+// pool; the exact path scans every row.
+func (ix *Index) search(s *searcher, q []float64, k int, outIdx []int32, outScore []float64) {
 	s.queries++
 	if ix.p.Exact() {
 		s.poolRows += int64(ix.n)
 		if ix.n > s.maxPool {
 			s.maxPool = ix.n
 		}
-		if q32 != nil {
-			s.sel.selectRows32(outIdx, outScore, q32, ix.data32, nil, ix.n)
-		} else {
-			s.sel.selectRows(outIdx, outScore, q, ix.data, nil, ix.n)
-		}
+		s.sel.selectRows(outIdx, outScore, q, ix.data, nil, ix.n)
 		return
 	}
 	s.q = q
-	s.q32 = q32
 	nbits := ix.p.Bits
 	s.z = resize(s.z, nbits)
 	s.abs = resize(s.abs, nbits)
 	for j := 0; j < nbits; j++ {
-		if q32 != nil {
-			s.z[j] = dot32(q32, ix.planes.Row(j)) - ix.bias[j]
-		} else {
-			s.z[j] = dot(q, ix.planes.Row(j)) - ix.bias[j]
-		}
+		s.z[j] = dot(q, ix.planes.Row(j)) - ix.bias[j]
 		s.abs[j] = math.Abs(s.z[j])
 	}
 	var code uint32
@@ -657,11 +527,7 @@ func (ix *Index) search(s *searcher, q []float64, q32 []float32, k int, outIdx [
 	if len(s.pool) > s.maxPool {
 		s.maxPool = len(s.pool)
 	}
-	if q32 != nil {
-		s.sel.selectRows32(outIdx, outScore, q32, ix.data32, s.pool, 0)
-	} else {
-		s.sel.selectRows(outIdx, outScore, q, ix.data, s.pool, 0)
-	}
+	s.sel.selectRows(outIdx, outScore, q, ix.data, s.pool, 0)
 }
 
 // gather appends one bucket's rows to the candidate pool. Buckets
@@ -691,12 +557,7 @@ func (ix *Index) gather(s *searcher, bucket uint32) {
 	s.subAbs = resize(s.subAbs, sb)
 	var code uint32
 	for j := 0; j < sb; j++ {
-		var z float64
-		if s.q32 != nil {
-			z = dot32(s.q32, st.planes.Row(j)) - st.bias[j]
-		} else {
-			z = dot(s.q, st.planes.Row(j)) - st.bias[j]
-		}
+		z := dot(s.q, st.planes.Row(j)) - st.bias[j]
 		s.subZ[j] = z
 		s.subAbs[j] = math.Abs(z)
 		if z >= 0 {
@@ -931,56 +792,6 @@ func (h *selHeap) selectRows(outIdx []int32, outScore []float64, q []float64, da
 	}
 }
 
-// selectRows32 is selectRows on the float32 tier. Scores accumulate in
-// float64 per candidate, then round to float32 before the final widen —
-// matching dense.MulBTInto32's store — so full-probe f32 results agree
-// bit for bit with the blocked f32 top-k scan. The heap is duplicated
-// rather than abstracted: this is the re-rank hot loop, and an
-// interface or closure per candidate would cost the very bandwidth win
-// the tier exists for.
-func (h *selHeap) selectRows32(outIdx []int32, outScore []float64, q []float32, data *dense.Matrix32, pool []int32, scanN int) {
-	k := len(outIdx)
-	if k == 0 {
-		return
-	}
-	h.idx = h.idx[:0]
-	h.score = h.score[:0]
-	consider := func(j int32) {
-		row := data.Row(int(j))
-		var s float64
-		for i, qv := range q {
-			s += float64(qv) * float64(row[i])
-		}
-		v := float64(float32(s))
-		if len(h.idx) < k {
-			h.idx = append(h.idx, j)
-			h.score = append(h.score, v)
-			h.siftUp(len(h.idx) - 1)
-			return
-		}
-		if v > h.score[0] || (v == h.score[0] && j < h.idx[0]) {
-			h.idx[0], h.score[0] = j, v
-			h.siftDown(0, k)
-		}
-	}
-	if pool != nil {
-		for _, j := range pool {
-			consider(j)
-		}
-	} else {
-		for j := 0; j < scanN; j++ {
-			consider(int32(j))
-		}
-	}
-	n := len(h.idx)
-	for p := n - 1; p >= 0; p-- {
-		outIdx[p], outScore[p] = h.idx[0], h.score[0]
-		h.swap(0, n-1)
-		n--
-		h.siftDown(0, n)
-	}
-}
-
 // dot is the sequential inner product — the exact association the dense
 // kernel uses per cell, which is what makes full-probe results
 // bit-identical to the blocked scan, and a per-row incremental recode
@@ -989,18 +800,6 @@ func dot(a, b []float64) float64 {
 	var s float64
 	for i, v := range a {
 		s += v * b[i]
-	}
-	return s
-}
-
-// dot32 is the mixed-precision inner product of the f32 tier's hashing
-// side: half-width row values against float64 hyperplanes, accumulated
-// in float64 — bit-identical to dense.MulBTMixed32Into's per-cell
-// association.
-func dot32(a []float32, b []float64) float64 {
-	var s float64
-	for i, v := range a {
-		s += float64(v) * b[i]
 	}
 	return s
 }

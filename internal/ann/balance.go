@@ -40,10 +40,8 @@ const (
 // hyperplane on the data mean. In the whitened view each effective
 // hyperplane sees equalized variance in every direction, so each bit
 // splits the rows roughly in half even under a dominant direction.
-// rowAt yields row i widened to float64 — the data matrix's own rows on
-// the float64 tier, a conversion through a reused buffer on the float32
-// tier — so the frozen geometry is tier-independent float64 math.
-func (ix *Index) buildTransform(d, rows int, rowAt func(int) []float64) {
+func (ix *Index) buildTransform(data *dense.Matrix) {
+	d := data.Cols
 	g := dense.New(ix.p.Bits, d)
 	rng := rand.New(rand.NewSource(ix.p.Seed))
 	for i := range g.Data {
@@ -58,7 +56,7 @@ func (ix *Index) buildTransform(d, rows int, rowAt func(int) []float64) {
 		}
 		return
 	}
-	mu, t := whiteningTransform(rows, d, rowAt)
+	mu, t := whiteningTransform(data)
 	ix.xform = t
 	ix.planes = dense.New(ix.p.Bits, d)
 	// T is symmetric, so G·Tᵀ = G·T: each effective plane w̃_j = T·g_j.
@@ -80,7 +78,8 @@ func (ix *Index) buildTransform(d, rows int, rowAt func(int) []float64) {
 // against is not distorted. Amplifying near-null directions — which
 // would scramble the codes of near-identical rows with estimation noise
 // — can never happen under the floor.
-func whiteningTransform(rows, d int, rowAt func(int) []float64) (mu []float64, t *dense.Matrix) {
+func whiteningTransform(data *dense.Matrix) (mu []float64, t *dense.Matrix) {
+	rows, d := data.Rows, data.Cols
 	stride := rows / annSampleTarget
 	if stride < 1 {
 		stride = 1
@@ -88,7 +87,7 @@ func whiteningTransform(rows, d int, rowAt func(int) []float64) (mu []float64, t
 	mu = make([]float64, d)
 	cnt := 0
 	for i := 0; i < rows; i += stride {
-		for j, v := range rowAt(i) {
+		for j, v := range data.Row(i) {
 			mu[j] += v
 		}
 		cnt++
@@ -99,7 +98,7 @@ func whiteningTransform(rows, d int, rowAt func(int) []float64) (mu []float64, t
 	}
 	cov := dense.New(d, d)
 	for i := 0; i < rows; i += stride {
-		row := rowAt(i)
+		row := data.Row(i)
 		for a := 0; a < d; a++ {
 			da := row[a] - mu[a]
 			cr := cov.Row(a)
@@ -183,12 +182,7 @@ func (ix *Index) buildSubs() {
 	// largest allowed ordinary bucket, gathered in sub-probe margin
 	// order (see gather).
 	ix.subBudget = threshold
-	var d int
-	if ix.data32 != nil {
-		d = ix.data32.Cols
-	} else {
-		d = ix.data.Cols
-	}
+	d := ix.data.Cols
 	ix.subMean = resize(ix.subMean, d)
 	for b := 0; b < nb; b++ {
 		lo, hi := int(ix.start[b]), int(ix.start[b+1])
@@ -218,17 +212,9 @@ func (ix *Index) buildSubs() {
 		for j := range muB {
 			muB[j] = 0
 		}
-		if ix.data32 != nil {
-			for _, r := range seg {
-				for j, v := range ix.data32.Row(int(r)) {
-					muB[j] += float64(v)
-				}
-			}
-		} else {
-			for _, r := range seg {
-				for j, v := range ix.data.Row(int(r)) {
-					muB[j] += v
-				}
+		for _, r := range seg {
+			for j, v := range ix.data.Row(int(r)) {
+				muB[j] += v
 			}
 		}
 		for j := range muB {
@@ -243,19 +229,10 @@ func (ix *Index) buildSubs() {
 		ix.subCode = growInt32sAsU32(ix.subCode, size)
 		for si, r := range seg {
 			var c uint32
-			if ix.data32 != nil {
-				row := ix.data32.Row(int(r))
-				for j := 0; j < sb; j++ {
-					if dot32(row, st.planes.Row(j))-st.bias[j] >= 0 {
-						c |= 1 << uint(j)
-					}
-				}
-			} else {
-				row := ix.data.Row(int(r))
-				for j := 0; j < sb; j++ {
-					if dot(row, st.planes.Row(j))-st.bias[j] >= 0 {
-						c |= 1 << uint(j)
-					}
+			row := ix.data.Row(int(r))
+			for j := 0; j < sb; j++ {
+				if dot(row, st.planes.Row(j))-st.bias[j] >= 0 {
+					c |= 1 << uint(j)
 				}
 			}
 			ix.subCode[si] = c

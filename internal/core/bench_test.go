@@ -381,17 +381,10 @@ const (
 // (the entry path is still exercised end to end, and has its own gated
 // benchmarks in BENCH_io.json); the measured region is the alignment,
 // so the time and allocated-bytes series attribute to the pipeline
-// instead of to parsing fixtures. The workload runs once per precision
-// tier — auto would resolve f32 at this size, so both tiers are pinned
-// explicitly and the f64 series is the reference the f32 series is
-// gated against within the same snapshot (see bench_check.sh: the f32
-// tier must allocate ≤ 0.97× of f64 in the fine-tune stage and never
-// more than f64 overall; wall-clock is not gated across tiers — at
-// this embedding width the conversion cost and the bandwidth saving
-// are close, and the measured ratio swings with host load). Workers is
-// pinned to 1 for the same B/op-gate reason as topkBenchConfig; the
-// snapshot in BENCH_pipeline.json gates time and allocated bytes, so a
-// regression to quadratic candidate generation fails CI on both series.
+// instead of to parsing fixtures. Workers is pinned to 1 for the same
+// B/op-gate reason as topkBenchConfig; the snapshot in
+// BENCH_pipeline.json gates time and allocated bytes, so a regression to
+// quadratic candidate generation fails CI on both series.
 func BenchmarkAlignAnnIngested100K(b *testing.B) {
 	src, tgt := edgeListText(100_000, 13)
 	ls, err := ingest.Load(strings.NewReader(src), ingest.Options{})
@@ -404,42 +397,30 @@ func BenchmarkAlignAnnIngested100K(b *testing.B) {
 	}
 	gs := ls.Graph.WithAttrs(idAttrs(ls.Nodes, 6))
 	gt := lt.Graph.WithAttrs(idAttrs(lt.Nodes, 6))
-	for _, tier := range []struct {
-		name string
-		prec Precision
-	}{{"f64", PrecisionF64}, {"f32", PrecisionF32}} {
-		cfg := Config{
-			Variant: LowOrderFT, Hidden: 16, Embed: 8,
-			Epochs: 4, M: 10, MaxFineTuneIters: 2, Seed: 1, Workers: 1,
-			Similarity: SimANN, Precision: tier.prec,
-		}
-		b.Run(tier.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var st AnnStats
-			var ft uint64
-			for i := 0; i < b.N; i++ {
-				res, err := Align(gs, gt, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.SimBackend != "ann" || res.Precision != tier.name {
-					b.Fatalf("ran %s/%s, want ann/%s", res.SimBackend, res.Precision, tier.name)
-				}
-				st = *res.Ann
-				ft = res.Timings.FineTuningBytes
-			}
-			// The mean re-rank pool is the work-per-query series the
-			// snapshot gates; the refit reuse ratio proves the incremental
-			// path engaged across the two fine-tune iterations (rows that
-			// barely moved kept their codes instead of being re-projected);
-			// the fine-tune stage's allocated-bytes delta is the span the
-			// precision tier owns, recorded so the snapshot trajectory
-			// shows where the f32 tier moves memory.
-			b.ReportMetric(st.PoolRowsMean, "pool-rows/op")
-			b.ReportMetric(st.RefitReuseRatio, "refit-reuse/op")
-			b.ReportMetric(float64(ft), "finetune-bytes/op")
-		})
+	cfg := Config{
+		Variant: LowOrderFT, Hidden: 16, Embed: 8,
+		Epochs: 4, M: 10, MaxFineTuneIters: 2, Seed: 1, Workers: 1,
+		Similarity: SimANN,
 	}
+	b.ReportAllocs()
+	b.ResetTimer() // keep the ingestion setup out of the time and allocation series
+	var st AnnStats
+	for i := 0; i < b.N; i++ {
+		res, err := Align(gs, gt, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.SimBackend != "ann" {
+			b.Fatalf("ran %s, want ann", res.SimBackend)
+		}
+		st = *res.Ann
+	}
+	// The mean re-rank pool is the work-per-query series the snapshot
+	// gates; the refit reuse ratio proves the incremental path engaged
+	// across the two fine-tune iterations (rows that barely moved kept
+	// their codes instead of being re-projected).
+	b.ReportMetric(st.PoolRowsMean, "pool-rows/op")
+	b.ReportMetric(st.RefitReuseRatio, "refit-reuse/op")
 }
 
 // BenchmarkRefine measures the RefiNA refinement stage on both Sim

@@ -180,83 +180,6 @@ func (s *SimBackend) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// Precision selects the numeric width of the post-training compute
-// tier. Stage-3 training is always float64 — the Adam updates and their
-// bit-identity guarantees are untouched — but the fine-tuning stages
-// (similarity projection, candidate generation, ANN hashing and
-// re-rank) are memory-bandwidth-bound and can run on float32 values
-// with float64 accumulators, halving their traffic and footprint.
-type Precision int
-
-// The precision tiers.
-const (
-	// PrecisionAuto picks the tier from the pair size: float64 while the
-	// pair is small enough that bandwidth isn't the bottleneck, float32
-	// past the same cell threshold that switches SimAuto to the ANN
-	// backend (autoAnnCells). The dense backend always resolves to
-	// float64 — it has no reduced-precision tier.
-	PrecisionAuto Precision = iota
-	// PrecisionF64 forces full float64 throughout — bit-identical to the
-	// pipeline before the precision tier existed.
-	PrecisionF64
-	// PrecisionF32 forces the float32 tier for the top-k and ANN
-	// candidate backends. Scores keep float64 accumulators, so rankings
-	// are stable; Hits@1 moves by well under the run-to-run seed noise
-	// (property-tested at ±0.01 against f64).
-	PrecisionF32
-)
-
-// String names the tier as it appears in configs and results.
-func (p Precision) String() string {
-	switch p {
-	case PrecisionAuto:
-		return "auto"
-	case PrecisionF64:
-		return "f64"
-	case PrecisionF32:
-		return "f32"
-	}
-	return fmt.Sprintf("Precision(%d)", int(p))
-}
-
-// ParsePrecision resolves a tier name ("auto", "f64", "f32",
-// case-insensitive, empty = auto).
-func ParsePrecision(s string) (Precision, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "auto":
-		return PrecisionAuto, nil
-	case "f64", "float64", "double":
-		return PrecisionF64, nil
-	case "f32", "float32", "single":
-		return PrecisionF32, nil
-	}
-	return PrecisionAuto, fmt.Errorf("core: unknown precision %q (want auto, f64 or f32)", s)
-}
-
-// Precisions lists every precision tier in definition order — the roster
-// the server's capabilities endpoint advertises.
-func Precisions() []Precision { return []Precision{PrecisionAuto, PrecisionF64, PrecisionF32} }
-
-// MarshalText encodes the tier by name, so JSON configs say "f32" rather
-// than an opaque enum number.
-func (p Precision) MarshalText() ([]byte, error) {
-	switch p {
-	case PrecisionAuto, PrecisionF64, PrecisionF32:
-		return []byte(p.String()), nil
-	}
-	return nil, fmt.Errorf("core: cannot marshal unknown precision %d", int(p))
-}
-
-// UnmarshalText decodes a tier name via ParsePrecision.
-func (p *Precision) UnmarshalText(text []byte) error {
-	parsed, err := ParsePrecision(string(text))
-	if err != nil {
-		return err
-	}
-	*p = parsed
-	return nil
-}
-
 // Config holds the pipeline hyperparameters. The zero value is completed
 // by withDefaults to the paper's settings (§V-A), except that the default
 // embedding width is scaled to laptop-sized graphs.
@@ -328,14 +251,6 @@ type Config struct {
 	// default) leaves the pool bounded only by the probe budget. Like the
 	// other ann_* knobs it is rejected under other backends.
 	AnnPoolCap int `json:"ann_pool_cap,omitempty"`
-	// Precision selects the numeric width of the fine-tuning stages:
-	// PrecisionAuto (the default) stays float64 until the pair passes the
-	// ANN cell threshold, PrecisionF64 forces the full-width path
-	// (bit-identical to leaving the knob unset on small pairs), and
-	// PrecisionF32 runs candidate generation on the float32 tier —
-	// top-k and ANN backends only; a resolved dense backend rejects it
-	// (ErrBadPrecision) rather than silently ignoring it.
-	Precision Precision `json:"precision,omitempty"`
 	// RefineIters runs that many RefiNA iterations over the integrated
 	// similarity as pipeline stage 6 (see internal/refine): each
 	// iteration boosts pairs whose matched neighbors agree, injects a
@@ -512,25 +427,6 @@ func (c Config) ResolveAnn(ns, nt int) (bits, probes int) {
 	return bits, probes
 }
 
-// ResolvePrecision resolves the configured precision tier against a
-// concrete pair size. PrecisionAuto flips to float32 past the same cell
-// threshold that flips SimAuto to the ANN backend — the sizes where the
-// fine-tuning stages are bandwidth-bound — except under a resolved dense
-// backend, which has no float32 tier and always runs float64. The
-// returned tier is never PrecisionAuto.
-func (c Config) ResolvePrecision(ns, nt int) Precision {
-	if c.Precision != PrecisionAuto {
-		return c.Precision
-	}
-	if backend, _ := c.ResolveSimilarity(ns, nt); backend == SimDense {
-		return PrecisionF64
-	}
-	if int64(ns)*int64(nt) > autoAnnCells {
-		return PrecisionF32
-	}
-	return PrecisionF64
-}
-
 // ValidateSimilarity checks the similarity knobs for contradictions —
 // out-of-range values, and knobs that the resolved backend would
 // silently ignore (a config bug better rejected than swallowed). With a
@@ -550,9 +446,6 @@ func (c Config) ValidateSimilarity(ns, nt int) error {
 	}
 	if c.AnnPoolCap < 0 {
 		return fmt.Errorf("%w: ann_pool_cap = %d (want 0 for unbounded, or ≥ 1)", ErrBadAnnParam, c.AnnPoolCap)
-	}
-	if c.Precision < PrecisionAuto || c.Precision > PrecisionF32 {
-		return fmt.Errorf("%w: precision = %d (want auto, f64 or f32)", ErrBadPrecision, int(c.Precision))
 	}
 	if c.RefineIters < 0 {
 		return fmt.Errorf("%w: refine_iters = %d (want 0 for no refinement, or ≥ 1)", ErrBadRefineParam, c.RefineIters)
@@ -577,9 +470,6 @@ func (c Config) ValidateSimilarity(ns, nt int) error {
 	}
 	if backend != SimANN && (c.AnnBits > 0 || c.AnnProbes > 0 || c.AnnPoolCap > 0) {
 		return fmt.Errorf("%w: ann_bits/ann_probes/ann_pool_cap set but the resolved backend is %s, not ann", ErrIgnoredSimKnob, backend)
-	}
-	if backend == SimDense && c.Precision == PrecisionF32 {
-		return fmt.Errorf("%w: precision = f32 but the %s backend has no float32 tier (use topk or ann, or leave precision auto)", ErrBadPrecision, backend)
 	}
 	return nil
 }

@@ -40,12 +40,6 @@ var ErrBadAnnParam = errors.New("core: invalid ann parameter")
 // knob took effect.
 var ErrIgnoredSimKnob = errors.New("core: similarity knob ignored by the resolved backend")
 
-// ErrBadPrecision reports an invalid precision tier: an unknown enum
-// value, or the float32 tier under a resolved dense backend (which has
-// no reduced-precision path — the contradiction is rejected rather than
-// silently run in float64).
-var ErrBadPrecision = errors.New("core: invalid precision")
-
 // ErrBadRefineParam reports an out-of-range refinement knob: a negative
 // iteration count or token budget, or a token budget configured on a run
 // with zero refinement iterations (which would silently ignore it).
@@ -89,10 +83,6 @@ type Result struct {
 	// AnnPoolCap echoes the configured per-query pool bound of an ann run
 	// (0 when unbounded, and on dense and topk runs).
 	AnnPoolCap int
-	// Precision names the numeric tier the fine-tuning stages ran in
-	// ("f64" or "f32") — PrecisionAuto configs report their concrete
-	// choice, like SimBackend does.
-	Precision string
 	// Ann is the merged skew-observability block of an ann run's LSH
 	// indices — both directions of every orbit's fine-tuning loop,
 	// accumulated over all iterations. Nil on dense and topk runs.
@@ -362,10 +352,6 @@ func (p *Prepared) AlignContext(ctx context.Context, cfg Config) (*Result, error
 		res.AnnPoolCap = cfg.AnnPoolCap
 		annParams = ann.Params{Bits: bits, Probes: probes, PoolCap: cfg.AnnPoolCap, Seed: cfg.Seed}
 	}
-	// Resolve the precision tier the same way (PrecisionAuto picks here)
-	// and record the concrete choice.
-	prec := cfg.ResolvePrecision(p.gs.N(), p.gt.N())
-	res.Precision = prec.String()
 	// Each in-flight fine-tune holds its similarity working set — a few
 	// ns×nt buffers on the dense backend, O((ns+nt)·k) candidate
 	// structures on top-k — so on huge pairs the fan-out is additionally
@@ -377,7 +363,7 @@ func (p *Prepared) AlignContext(ctx context.Context, cfg Config) (*Result, error
 		slots = k
 	}
 	outer, inner := par.SplitOuterInner(workers, slots)
-	ftCfg := align.FineTuneConfig{M: cfg.M, Beta: cfg.Beta, MaxIters: cfg.MaxFineTuneIters, KnownPairs: cfg.Seeds, Workers: inner, TopK: candidateK, Ann: annParams, F32: prec == PrecisionF32, KeepEmbeddings: cfg.KeepEmbeddings, Ctx: ctx}
+	ftCfg := align.FineTuneConfig{M: cfg.M, Beta: cfg.Beta, MaxIters: cfg.MaxFineTuneIters, KnownPairs: cfg.Seeds, Workers: inner, TopK: candidateK, Ann: annParams, KeepEmbeddings: cfg.KeepEmbeddings, Ctx: ctx}
 	if !cfg.Variant.usesFineTune() {
 		ftCfg.MaxIters = 1 // single pass: score + trusted count, no reinforcement rounds
 		ftCfg.KnownPairs = nil

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/htc-align/htc/internal/dense"
@@ -176,6 +177,34 @@ func TestAlignTimingsPopulated(t *testing.T) {
 	}
 	if tm.String() == "" {
 		t.Fatal("empty timing string")
+	}
+}
+
+// TestStageTimingsBytes: the per-stage allocation deltas are recorded and
+// surface in the timings line.
+func TestStageTimingsBytes(t *testing.T) {
+	gs, gt, _ := noisyPair(30, 0.1, 2)
+	res, err := Align(gs, gt, quickConfig(Full))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := res.Timings
+	if tm.TotalBytes == 0 {
+		t.Fatal("TotalBytes not recorded")
+	}
+	if tm.TrainingBytes == 0 || tm.FineTuningBytes == 0 {
+		t.Fatalf("stage bytes missing: train=%d finetune=%d", tm.TrainingBytes, tm.FineTuningBytes)
+	}
+	sum := tm.OrbitCountingBytes + tm.LaplaciansBytes + tm.TrainingBytes +
+		tm.FineTuningBytes + tm.IntegrationBytes
+	if sum > tm.TotalBytes {
+		t.Fatalf("stage bytes %d exceed total %d", sum, tm.TotalBytes)
+	}
+	s := tm.String()
+	for _, sub := range []string{"alloc[", "train=", "total="} {
+		if !strings.Contains(s, sub) {
+			t.Fatalf("timings string missing %q: %q", sub, s)
+		}
 	}
 }
 

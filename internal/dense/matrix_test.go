@@ -208,6 +208,50 @@ func TestNormalizeRows(t *testing.T) {
 	}
 }
 
+// seededMatrix fills an r×c matrix with unit gaussians, with a few rows
+// made exactly constant so the zero-variance skip path is exercised.
+func seededMatrix(r, c int, seed int64) *Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	m := New(r, c)
+	for i := range m.Data {
+		m.Data[i] = rng.NormFloat64()
+	}
+	for i := 0; i < r; i += 7 {
+		row := m.Row(i)
+		for j := range row {
+			row[j] = 3.25
+		}
+	}
+	return m
+}
+
+// TestCenterNormalizeFusedBitIdentical: the fused center+normalize pass
+// must reproduce the separate CopyFrom → CenterRows → NormalizeRows
+// sequence bit for bit — it is what lets the fusion replace the old
+// three-pass code on the default float64 path without perturbing the
+// pipeline's bit-identity contract.
+func TestCenterNormalizeFusedBitIdentical(t *testing.T) {
+	for _, tc := range []struct{ r, c int }{
+		{1, 1}, {3, 0}, {7, 5}, {40, 16}, {129, 33},
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			src := seededMatrix(tc.r, tc.c, seed)
+			want := New(tc.r, tc.c)
+			want.CopyFrom(src)
+			want.CenterRows()
+			want.NormalizeRows()
+			got := New(tc.r, tc.c)
+			CenterNormalizeRowsInto(got, src)
+			for i, v := range got.Data {
+				if v != want.Data[i] {
+					t.Fatalf("r=%d c=%d seed=%d: fused[%d] = %v, separate = %v",
+						tc.r, tc.c, seed, i, v, want.Data[i])
+				}
+			}
+		}
+	}
+}
+
 func TestRowNormsAndScaleRows(t *testing.T) {
 	m := FromRows([][]float64{{3, 4}, {1, 0}})
 	norms := m.RowNorms()

@@ -46,6 +46,45 @@ func (m *Matrix) NormalizeRows() {
 	}
 }
 
+// CenterNormalizeRowsInto fuses CopyFrom + CenterRows + NormalizeRows
+// into one pass per row: src is read once, each row's mean is removed,
+// and the centered row is scaled to unit L2 norm while still
+// cache-resident. The arithmetic — mean accumulation order, the stored
+// centered values, the sum of squares over those stored values, the
+// eps = 1e-12 skip — is exactly the three-pass sequence's, so the fused
+// kernel is bit-identical to it (locked by TestCenterNormalizeFusedBitIdentical).
+// src is left untouched; dst must have src's shape.
+func CenterNormalizeRowsInto(dst, src *Matrix) {
+	dst.mustSameShape(src, "CenterNormalizeRowsInto")
+	if src.Cols == 0 {
+		return
+	}
+	const eps = 1e-12
+	inv := 1 / float64(src.Cols)
+	for i := 0; i < src.Rows; i++ {
+		row := src.Row(i)
+		out := dst.Row(i)
+		var mean float64
+		for _, v := range row {
+			mean += v
+		}
+		mean *= inv
+		var s float64
+		for j, v := range row {
+			c := v - mean
+			out[j] = c
+			s += c * c
+		}
+		if s < eps {
+			continue
+		}
+		f := 1 / math.Sqrt(s)
+		for j := range out {
+			out[j] *= f
+		}
+	}
+}
+
 // RowNorms returns the L2 norm of each row.
 func (m *Matrix) RowNorms() []float64 {
 	out := make([]float64, m.Rows)

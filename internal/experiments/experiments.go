@@ -51,10 +51,6 @@ type Options struct {
 	// AnnPoolCap bounds the ANN backend's per-query re-rank pool (0 =
 	// unbounded; the htc-experiments -ann-pool-cap flag).
 	AnnPoolCap int
-	// Precision selects the fine-tune compute tier of every HTC run
-	// (auto/f64/f32; the htc-experiments -precision flag) — the knob to
-	// measure the float32 tier against the paper numbers.
-	Precision core.Precision
 	// RefineIters runs that many RefiNA refinement iterations after every
 	// HTC integration (0 = no refinement; the htc-experiments
 	// -refine-iters flag). Refined runs report both the refined and the
@@ -86,7 +82,6 @@ func (o Options) htcConfig() core.Config {
 		Hidden: 64, Embed: 32, Epochs: o.Epochs, Seed: o.Seed, Progress: o.Progress,
 		Similarity: o.Similarity, CandidateK: o.CandidateK,
 		AnnBits: o.AnnBits, AnnProbes: o.AnnProbes, AnnPoolCap: o.AnnPoolCap,
-		Precision:   o.Precision,
 		RefineIters: o.RefineIters, RefineTokenK: o.RefineTokenK,
 	}
 }

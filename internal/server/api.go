@@ -383,9 +383,6 @@ type AlignResult struct {
 	// SimBackend is the similarity backend the run resolved to ("dense",
 	// "topk" or "ann") — auto configs report their concrete choice.
 	SimBackend string `json:"sim_backend"`
-	// Precision is the compute tier the fine-tune similarity ran at
-	// ("f64" or "f32") — auto configs report their concrete choice.
-	Precision string `json:"precision"`
 	// CandidateK is the per-node candidate count of a top-k or ann run
 	// (absent on dense runs).
 	CandidateK int `json:"candidate_k,omitempty"`
@@ -448,8 +445,6 @@ type Capabilities struct {
 	// SimilarityBackends lists the accepted config.similarity values and
 	// the knobs each backend accepts.
 	SimilarityBackends []SimBackendInfo `json:"similarity_backends"`
-	// Precisions lists the accepted config.precision values.
-	Precisions []string `json:"precisions"`
 	// IngestFormats lists the registered dataset upload formats.
 	IngestFormats []string `json:"ingest_formats"`
 	// Variants lists the pipeline ablations by paper name.

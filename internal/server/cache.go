@@ -1,12 +1,10 @@
 package server
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"github.com/htc-align/htc/internal/core"
 )
@@ -66,126 +64,52 @@ func canonicalConfig(cfg core.Config) core.Config {
 	return cfg
 }
 
-// resultCache is a bounded, thread-safe LRU from content hash to
-// completed AlignResult. Alignment is deterministic given the request
-// (every random choice is seed-driven), so cached results never go stale.
-type resultCache struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recently used
-	items map[string]*list.Element
-}
-
-type cacheEntry struct {
-	key string
-	res *AlignResult
-}
+// resultCache is a bounded LRU from content hash to completed
+// AlignResult. Alignment is deterministic given the request (every
+// random choice is seed-driven), so cached results never go stale.
+type resultCache struct{ *lru[string, *AlignResult] }
 
 func newResultCache(capacity int) *resultCache {
-	if capacity <= 0 {
-		capacity = 128
-	}
-	return &resultCache{cap: capacity, order: list.New(), items: make(map[string]*list.Element)}
+	return &resultCache{newLRU[string, *AlignResult](capacity, 128)}
 }
 
 // get returns a copy of the cached result flagged Cached, or nil.
 func (c *resultCache) get(key string) *AlignResult {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	res, ok := c.lru.get(key)
 	if !ok {
 		return nil
 	}
-	c.order.MoveToFront(el)
-	cp := *el.Value.(*cacheEntry).res
+	cp := *res
 	cp.Cached = true
 	return &cp
 }
 
 // put stores a result, evicting the least recently used entry when full.
-func (c *resultCache) put(key string, res *AlignResult) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheEntry).res = res
-		c.order.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.order.PushFront(&cacheEntry{key: key, res: res})
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
-	}
-}
+func (c *resultCache) put(key string, res *AlignResult) { c.lru.put(key, res, false) }
 
-// len reports the number of cached results.
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// refineCache is a bounded, thread-safe LRU from a refine request's
-// content identity (input matching + graphs + knobs) to its completed
-// RefineResult. Refinement is deterministic given its input, so entries
-// never go stale.
-type refineCache struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recently used
-	items map[string]*list.Element
-}
-
-type refineEntry struct {
-	key string
-	res *RefineResult
-}
+// refineCache is a bounded LRU from a refine request's content identity
+// (input matching + graphs + knobs) to its completed RefineResult.
+// Refinement is deterministic given its input, so entries never go
+// stale.
+type refineCache struct{ *lru[string, *RefineResult] }
 
 func newRefineCache(capacity int) *refineCache {
-	if capacity <= 0 {
-		capacity = 128
-	}
-	return &refineCache{cap: capacity, order: list.New(), items: make(map[string]*list.Element)}
+	return &refineCache{newLRU[string, *RefineResult](capacity, 128)}
 }
 
 // get returns a copy of the cached result flagged Cached, or nil.
 func (c *refineCache) get(key string) *RefineResult {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	res, ok := c.lru.get(key)
 	if !ok {
 		return nil
 	}
-	c.order.MoveToFront(el)
-	cp := *el.Value.(*refineEntry).res
+	cp := *res
 	cp.Cached = true
 	return &cp
 }
 
 // put stores a result, evicting the least recently used entry when full.
-func (c *refineCache) put(key string, res *RefineResult) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*refineEntry).res = res
-		c.order.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.order.PushFront(&refineEntry{key: key, res: res})
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*refineEntry).key)
-	}
-}
-
-// len reports the number of cached refine results.
-func (c *refineCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
+func (c *refineCache) put(key string, res *RefineResult) { c.lru.put(key, res, false) }
 
 // preparedCache is a bounded LRU from a graph pair's content hash
 // (core.PairHash) to its prepared pipeline artifacts, so separate jobs on
@@ -196,58 +120,19 @@ func (c *refineCache) len() int {
 // sound; it only ever accretes more memoised artifacts. The cache is
 // kept much smaller than the result cache because each entry pins whole
 // graphs plus per-orbit sparse matrices.
-type preparedCache struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recently used
-	items map[string]*list.Element
-}
-
-type preparedEntry struct {
-	key  string
-	prep *core.Prepared
-}
+type preparedCache struct{ *lru[string, *core.Prepared] }
 
 func newPreparedCache(capacity int) *preparedCache {
-	if capacity <= 0 {
-		capacity = 8
-	}
-	return &preparedCache{cap: capacity, order: list.New(), items: make(map[string]*list.Element)}
+	return &preparedCache{newLRU[string, *core.Prepared](capacity, 8)}
 }
 
 // get returns the cached prepared pair, or nil.
 func (c *preparedCache) get(key string) *core.Prepared {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*preparedEntry).prep
+	prep, _ := c.lru.get(key)
+	return prep
 }
 
 // put stores a prepared pair, evicting the least recently used entry
 // when full. A concurrent duplicate (two jobs preparing the same pair at
 // once) keeps the first stored instance so later jobs converge on one.
-func (c *preparedCache) put(key string, prep *core.Prepared) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.order.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.order.PushFront(&preparedEntry{key: key, prep: prep})
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*preparedEntry).key)
-	}
-}
-
-// len reports the number of cached prepared pairs.
-func (c *preparedCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
+func (c *preparedCache) put(key string, prep *core.Prepared) { c.lru.put(key, prep, true) }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -9,7 +8,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/htc-align/htc/internal/core"
@@ -209,27 +207,14 @@ type storedDataset struct {
 // hash extended with the resolved ground truth.
 func (d *storedDataset) contentHash() string { return d.info.ContentHash }
 
-// datasetStore is a bounded, thread-safe LRU of uploaded datasets. Each
-// entry pins two whole graphs plus their id dictionaries, so the default
-// capacity is modest; jobs memoise their pair at admission, making
-// eviction (or deletion) mid-flight harmless.
-type datasetStore struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recently used
-	items map[string]*list.Element
-}
-
-type datasetEntry struct {
-	id string
-	ds *storedDataset
-}
+// datasetStore is a bounded LRU of uploaded datasets. Each entry pins
+// two whole graphs plus their id dictionaries, so the default capacity
+// is modest; jobs memoise their pair at admission, making eviction (or
+// deletion) mid-flight harmless.
+type datasetStore struct{ *lru[string, *storedDataset] }
 
 func newDatasetStore(capacity int) *datasetStore {
-	if capacity <= 0 {
-		capacity = 16
-	}
-	return &datasetStore{cap: capacity, order: list.New(), items: make(map[string]*list.Element)}
+	return &datasetStore{newLRU[string, *storedDataset](capacity, 16)}
 }
 
 // get returns the stored dataset, or nil. A nil store never resolves
@@ -238,64 +223,23 @@ func (s *datasetStore) get(id string) *storedDataset {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[id]
-	if !ok {
-		return nil
-	}
-	s.order.MoveToFront(el)
-	return el.Value.(*datasetEntry).ds
+	ds, _ := s.lru.get(id)
+	return ds
 }
 
 // put stores (or replaces) a dataset and reports whether an entry with
 // this id already existed, evicting the least recently used entry when
 // over capacity.
 func (s *datasetStore) put(ds *storedDataset) (replaced bool, evicted int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[ds.id]; ok {
-		el.Value.(*datasetEntry).ds = ds
-		s.order.MoveToFront(el)
-		return true, 0
-	}
-	s.items[ds.id] = s.order.PushFront(&datasetEntry{id: ds.id, ds: ds})
-	for s.order.Len() > s.cap {
-		oldest := s.order.Back()
-		s.order.Remove(oldest)
-		delete(s.items, oldest.Value.(*datasetEntry).id)
-		evicted++
-	}
-	return false, evicted
-}
-
-// delete removes a dataset, reporting whether it existed.
-func (s *datasetStore) delete(id string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[id]
-	if !ok {
-		return false
-	}
-	s.order.Remove(el)
-	delete(s.items, id)
-	return true
-}
-
-// len reports the number of stored datasets.
-func (s *datasetStore) len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.order.Len()
+	return s.lru.put(ds.id, ds, false)
 }
 
 // list returns the stored datasets' metadata, most recently used first.
 func (s *datasetStore) list() []DatasetInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]DatasetInfo, 0, s.order.Len())
-	for el := s.order.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*datasetEntry).ds.info)
+	stored := s.values()
+	out := make([]DatasetInfo, len(stored))
+	for i, ds := range stored {
+		out[i] = ds.info
 	}
 	return out
 }

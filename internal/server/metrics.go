@@ -54,11 +54,6 @@ type Metrics struct {
 	// refit win.
 	SimAnnPoolRows   atomic.Int64
 	SimAnnRefitReuse atomic.Int64
-	// SimF32Runs counts completed pipeline runs whose fine-tune similarity
-	// ran on the float32 compute tier (explicit precision=f32 and auto
-	// configs that resolved there alike), so operators can see how much
-	// traffic actually exercises the half-width path.
-	SimF32Runs atomic.Int64
 	// RefineRuns counts POST /v1/refine executions (cache hits excluded);
 	// RefineIterations accumulates the RefiNA iterations they ran;
 	// RefineCacheHits counts refine requests served from the refine
@@ -87,9 +82,6 @@ func (m *Metrics) recordBackend(res *core.Result) {
 		m.SimTopKRuns.Add(1)
 	default:
 		m.SimDenseRuns.Add(1)
-	}
-	if res.Precision == "f32" {
-		m.SimF32Runs.Add(1)
 	}
 	if len(res.RefineMNC) > 0 {
 		m.RefinedAlignRuns.Add(1)
@@ -121,7 +113,6 @@ func (m *Metrics) writePrometheus(w io.Writer, extras map[string]float64) {
 	counter("htc_sim_ann_exact_runs_total", "ANN runs whose probe budget covered every bucket (exactness escape hatch).", m.SimAnnExactRuns.Load())
 	counter("htc_sim_ann_pool_rows", "Candidate rows gathered for exact re-ranking across ANN runs.", m.SimAnnPoolRows.Load())
 	counter("htc_sim_ann_refit_reuse_total", "Rows whose hash codes were reused across fine-tune refits in ANN runs.", m.SimAnnRefitReuse.Load())
-	counter("htc_sim_f32_runs_total", "Pipeline runs whose fine-tune similarity ran on the float32 tier.", m.SimF32Runs.Load())
 	counter("htc_refine_runs_total", "POST /v1/refine executions (cache hits excluded).", m.RefineRuns.Load())
 	counter("htc_refine_iters_total", "RefiNA iterations run on behalf of /v1/refine requests.", m.RefineIterations.Load())
 	counter("htc_refine_cache_hits_total", "Refine requests served from the refine result cache.", m.RefineCacheHits.Load())

@@ -346,7 +346,6 @@ func buildResult(res *core.Result, pair *datasets.Pair, qs []int) *AlignResult {
 		EpochsTrained: len(res.LossHistory),
 		WorkersUsed:   res.Workers,
 		SimBackend:    res.SimBackend,
-		Precision:     res.Precision,
 		CandidateK:    res.CandidateK,
 		AnnBits:       res.AnnBits,
 		AnnProbes:     res.AnnProbes,
@@ -621,13 +620,8 @@ func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
 	for _, v := range core.Variants() {
 		variants = append(variants, v.String())
 	}
-	precisions := make([]string, 0, len(core.Precisions()))
-	for _, p := range core.Precisions() {
-		precisions = append(precisions, p.String())
-	}
 	writeJSON(w, http.StatusOK, Capabilities{
 		SimilarityBackends: backends,
-		Precisions:         precisions,
 		IngestFormats:      ingest.Formats(),
 		Variants:           variants,
 		Datasets:           Datasets(),

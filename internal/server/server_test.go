@@ -192,36 +192,59 @@ func TestCacheHitServesFromMemory(t *testing.T) {
 func TestBadInputs(t *testing.T) {
 	ts := newTestServer(t, Options{Workers: 1, MaxNodes: 100})
 
+	// path defaults to /v1/align; msg, when set, must appear in the
+	// error envelope's message.
 	cases := []struct {
 		name, body string
 		want       int
+		path, msg  string
 	}{
-		{"malformed json", `{"dataset":`, http.StatusBadRequest},
-		{"unknown field", `{"dataste":"econ"}`, http.StatusBadRequest},
-		{"no graphs", `{}`, http.StatusBadRequest},
-		{"unknown dataset", `{"dataset":"imaginary"}`, http.StatusBadRequest},
-		{"dataset and inline", `{"dataset":"econ","source":{"nodes":2},"target":{"nodes":2}}`, http.StatusBadRequest},
-		{"source only", `{"source":{"nodes":2,"edges":[[0,1]]}}`, http.StatusBadRequest},
-		{"edge out of range", `{"source":{"nodes":3,"edges":[[0,9]]},"target":{"nodes":3}}`, http.StatusBadRequest},
-		{"negative nodes", `{"source":{"nodes":-1},"target":{"nodes":3}}`, http.StatusBadRequest},
-		{"over node limit", `{"source":{"nodes":500},"target":{"nodes":3}}`, http.StatusBadRequest},
-		{"n over limit", `{"dataset":"econ","n":5000}`, http.StatusBadRequest},
-		{"ragged attrs", `{"source":{"nodes":2,"attrs":[[1],[1,2]]},"target":{"nodes":2}}`, http.StatusBadRequest},
-		{"truth wrong length", `{"source":{"nodes":2},"target":{"nodes":2},"truth":[0]}`, http.StatusBadRequest},
-		{"truth out of range", `{"source":{"nodes":2},"target":{"nodes":2},"truth":[0,5]}`, http.StatusBadRequest},
-		{"truth below -1", `{"source":{"nodes":2},"target":{"nodes":2},"truth":[0,-5]}`, http.StatusBadRequest},
-		{"truth -1 ok", `{"source":{"nodes":2,"edges":[[0,1]]},"target":{"nodes":2,"edges":[[0,1]]},"truth":[-1,0],"config":{"variant":"HTC-L","epochs":1,"hidden":4,"embed":2}}`, http.StatusAccepted},
-		{"configs on align", `{"dataset":"synthetic","configs":[{"variant":"HTC-L"}]}`, http.StatusBadRequest},
-		{"truth with dataset", `{"dataset":"econ","truth":[0]}`, http.StatusBadRequest},
-		{"bad remove", `{"dataset":"econ","remove":1.5}`, http.StatusBadRequest},
-		{"bad hits_at", `{"dataset":"econ","hits_at":[0]}`, http.StatusBadRequest},
-		{"bad variant", `{"dataset":"econ","config":{"variant":"HTC-XXL"}}`, http.StatusBadRequest},
+		{"malformed json", `{"dataset":`, http.StatusBadRequest, "", ""},
+		{"unknown field", `{"dataste":"econ"}`, http.StatusBadRequest, "", ""},
+		{"no graphs", `{}`, http.StatusBadRequest, "", ""},
+		{"unknown dataset", `{"dataset":"imaginary"}`, http.StatusBadRequest, "", ""},
+		{"dataset and inline", `{"dataset":"econ","source":{"nodes":2},"target":{"nodes":2}}`, http.StatusBadRequest, "", ""},
+		{"source only", `{"source":{"nodes":2,"edges":[[0,1]]}}`, http.StatusBadRequest, "", ""},
+		{"edge out of range", `{"source":{"nodes":3,"edges":[[0,9]]},"target":{"nodes":3}}`, http.StatusBadRequest, "", ""},
+		{"negative nodes", `{"source":{"nodes":-1},"target":{"nodes":3}}`, http.StatusBadRequest, "", ""},
+		{"over node limit", `{"source":{"nodes":500},"target":{"nodes":3}}`, http.StatusBadRequest, "", ""},
+		{"n over limit", `{"dataset":"econ","n":5000}`, http.StatusBadRequest, "", ""},
+		{"ragged attrs", `{"source":{"nodes":2,"attrs":[[1],[1,2]]},"target":{"nodes":2}}`, http.StatusBadRequest, "", ""},
+		{"truth wrong length", `{"source":{"nodes":2},"target":{"nodes":2},"truth":[0]}`, http.StatusBadRequest, "", ""},
+		{"truth out of range", `{"source":{"nodes":2},"target":{"nodes":2},"truth":[0,5]}`, http.StatusBadRequest, "", ""},
+		{"truth below -1", `{"source":{"nodes":2},"target":{"nodes":2},"truth":[0,-5]}`, http.StatusBadRequest, "", ""},
+		{"truth -1 ok", `{"source":{"nodes":2,"edges":[[0,1]]},"target":{"nodes":2,"edges":[[0,1]]},"truth":[-1,0],"config":{"variant":"HTC-L","epochs":1,"hidden":4,"embed":2}}`, http.StatusAccepted, "", ""},
+		{"configs on align", `{"dataset":"synthetic","configs":[{"variant":"HTC-L"}]}`, http.StatusBadRequest, "", ""},
+		{"truth with dataset", `{"dataset":"econ","truth":[0]}`, http.StatusBadRequest, "", ""},
+		{"bad remove", `{"dataset":"econ","remove":1.5}`, http.StatusBadRequest, "", ""},
+		{"bad hits_at", `{"dataset":"econ","hits_at":[0]}`, http.StatusBadRequest, "", ""},
+		{"bad variant", `{"dataset":"econ","config":{"variant":"HTC-XXL"}}`, http.StatusBadRequest, "", ""},
+		// There is one arithmetic and no precision knob: clients that
+		// send config.precision get the unknown-field envelope.
+		{"precision on align", `{"dataset":"synthetic","config":{"precision":"auto"}}`, http.StatusBadRequest, "", `malformed JSON: json: unknown field "precision"`},
+		{"precision on sweep", `{"dataset":"synthetic","configs":[{"variant":"HTC-L","precision":"f64"}]}`, http.StatusBadRequest, "/v1/sweep", `malformed JSON: json: unknown field "precision"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			code, _ := submit(t, ts, tc.body)
-			if code != tc.want {
-				t.Errorf("%s: got %d, want %d", tc.name, code, tc.want)
+			path := tc.path
+			if path == "" {
+				path = "/v1/align"
+			}
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s: got %d, want %d (%s)", tc.name, resp.StatusCode, tc.want, blob)
+			}
+			if tc.msg == "" {
+				return
+			}
+			var envelope ErrorBody
+			if err := json.Unmarshal(blob, &envelope); err != nil || envelope.Error.Message != tc.msg {
+				t.Errorf("%s: error envelope %s, want message %q", tc.name, blob, tc.msg)
 			}
 		})
 	}

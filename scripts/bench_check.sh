@@ -20,11 +20,7 @@
 # and 100K ingestion benchmarks) is gated at the same tightness: it is
 # fully deterministic for a fixed seed, and a balanced hash silently
 # degrading to skewed buckets multiplies it well beyond 1.5 long before
-# wall-clock noise would catch the regression. Two extra gates compare
-# series within the fresh snapshot itself: the f32 tier of the 100K
-# ingestion benchmark must allocate ≤ 0.97× of its f64 twin in the
-# fine-tune stage (the span the precision tier owns) and never more
-# than it overall.
+# wall-clock noise would catch the regression.
 set -eu
 
 baseline=$1
@@ -42,16 +38,15 @@ pool_factor=${6:-1.5}
 extract() {
 	tr ',' '\n' < "$1" | awk '
 		/"name"/ {
-			if (name != "") print name, ns, bytes, allocs, pool, ft
+			if (name != "") print name, ns, bytes, allocs, pool
 			gsub(/.*"name": "|"/, ""); sub(/-[0-9]+$/, "")
-			name = $0; ns = "-"; bytes = "-"; allocs = "-"; pool = "-"; ft = "-"
+			name = $0; ns = "-"; bytes = "-"; allocs = "-"; pool = "-"
 		}
 		/"ns_per_op"/       { gsub(/.*"ns_per_op": |}.*/, "");       ns = $0 }
 		/"bytes_per_op"/    { gsub(/.*"bytes_per_op": |}.*/, "");    bytes = $0 }
 		/"allocs_per_op"/   { gsub(/.*"allocs_per_op": |}.*/, "");   allocs = $0 }
 		/"pool_rows_per_op"/ { gsub(/.*"pool_rows_per_op": |}.*/, ""); pool = $0 }
-		/"finetune_bytes_per_op"/ { gsub(/.*"finetune_bytes_per_op": |}.*/, ""); ft = $0 }
-		END { if (name != "") print name, ns, bytes, allocs, pool, ft }'
+		END { if (name != "") print name, ns, bytes, allocs, pool }'
 }
 
 extract "$baseline" | sort > /tmp/bench_base.$$
@@ -59,7 +54,7 @@ extract "$fresh" | sort > /tmp/bench_fresh.$$
 
 fail=0
 compared=0
-while read -r name base basebytes baseallocs basepool baseft; do
+while read -r name base basebytes baseallocs basepool; do
 	line=$(awk -v n="$name" '$1 == n { print $2, $3, $4, $5 }' /tmp/bench_fresh.$$)
 	[ -z "$line" ] && continue
 	set -- $line
@@ -106,50 +101,6 @@ while read -r name base basebytes baseallocs basepool baseft; do
 		fi
 	fi
 done < /tmp/bench_base.$$
-
-# Precision-tier gates: the float32 tier of the 100K ingestion benchmark
-# must deliver its memory win against the f64 series of the SAME fresh
-# snapshot (host and toolchain drift cancel out in a same-snapshot
-# ratio); they fire only when the snapshot carries both tiers (baselines
-# predating the split lack them). Wall-clock is NOT gated across tiers —
-# at this workload's embedding width the f32 kernels trade halved
-# streaming bandwidth against widening conversions and the measured
-# ratio swings either way with host load. The allocation series are
-# deterministic, so they are: the fine-tune stage (the span the
-# precision tier owns, measured by the pipeline's per-stage TotalAlloc
-# deltas) must allocate ≤ 0.97× of the f64 series — the half-width
-# embedding copies are a real, fixed saving under the
-# precision-independent candidate-list bulk — and the whole-benchmark
-# bytes may never exceed f64 at all: a widening copy sneaking into the
-# f32 path shows up there first.
-f64line=$(awk '$1 == "BenchmarkAlignAnnIngested100K/f64" { print $3, $6 }' /tmp/bench_fresh.$$)
-f32line=$(awk '$1 == "BenchmarkAlignAnnIngested100K/f32" { print $3, $6 }' /tmp/bench_fresh.$$)
-if [ -n "$f64line" ] && [ -n "$f32line" ]; then
-	set -- $f64line
-	f64bytes=$1
-	f64ft=$2
-	set -- $f32line
-	f32bytes=$1
-	f32ft=$2
-	if [ "$f64ft" != "-" ] && [ "$f32ft" != "-" ]; then
-		worse=$(awk -v b="$f64ft" -v n="$f32ft" 'BEGIN { print (n > b * 0.97) ? 1 : 0 }')
-		if [ "$worse" = 1 ]; then
-			echo "REGRESSION: AlignAnnIngested100K/f32 fine-tune ${f32ft}B not <= 0.97x the f64 series (${f64ft}B)" >&2
-			fail=1
-		else
-			echo "ok: AlignAnnIngested100K/f32 fine-tune ${f32ft}B <= 0.97x f64 (${f64ft}B)"
-		fi
-	fi
-	if [ "$f64bytes" != "-" ] && [ "$f32bytes" != "-" ]; then
-		worse=$(awk -v b="$f64bytes" -v n="$f32bytes" 'BEGIN { print (n > b) ? 1 : 0 }')
-		if [ "$worse" = 1 ]; then
-			echo "REGRESSION: AlignAnnIngested100K/f32 ${f32bytes}B/op exceeds the f64 series (${f64bytes}B/op)" >&2
-			fail=1
-		else
-			echo "ok: AlignAnnIngested100K/f32 ${f32bytes}B/op <= f64 (${f64bytes}B/op)"
-		fi
-	fi
-fi
 
 rm -f /tmp/bench_base.$$ /tmp/bench_fresh.$$
 

@@ -59,10 +59,6 @@ BEGIN {
 		# embeddings, so it is not gated).
 		if ($(i+1) == "pool-rows/op")   printf ", \"pool_rows_per_op\": %s", $i
 		if ($(i+1) == "refit-reuse/op") printf ", \"refit_reuse_per_op\": %s", $i
-		# Fine-tune stage allocated bytes (from the per-stage pipeline
-		# decomposition): the span the float32 precision tier owns,
-		# recorded per tier so the trajectory localises memory changes.
-		if ($(i+1) == "finetune-bytes/op") printf ", \"finetune_bytes_per_op\": %s", $i
 	}
 	printf "}"
 }
