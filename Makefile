@@ -8,13 +8,20 @@ FUZZTIME ?= 10s
 FUZZ_TARGETS = FuzzEdgeList FuzzAdjList FuzzJSON FuzzHTCGraph FuzzSniff FuzzTruth
 SERVER_FUZZ_TARGETS = FuzzAlignRequest FuzzRefineRequest FuzzBuildDataset
 
-.PHONY: build test test-ann test-refine lint bench bench-snapshot bench-io bench-gate fuzz ci
+.PHONY: build test test-fma test-ann test-refine lint bench bench-snapshot bench-io bench-gate fuzz ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test -race ./...
+
+# With GOAMD64=v3 the compiler contracts x*y+z into FMA; the packages
+# holding the bit-identity contracts (GEMM kernels against their
+# reference loops, dense ≡ top-k ≡ ANN, workers=1 ≡ N, Prepared ≡
+# one-shot) must pass in that build too. Needs an AVX2/FMA host.
+test-fma:
+	GOAMD64=v3 $(GO) test -count=1 ./internal/dense/ ./internal/align/ ./internal/core/
 
 # The ANN index is the one subsystem with lock-free per-worker counters
 # merged across goroutines; run its suite explicitly under the race
@@ -91,4 +98,4 @@ fuzz:
 		$(GO) test ./internal/server/ -run='^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) || exit 1; \
 	done
 
-ci: lint build test test-ann test-refine fuzz bench bench-gate
+ci: lint build test test-fma test-ann test-refine fuzz bench bench-gate

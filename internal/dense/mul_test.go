@@ -1,9 +1,13 @@
 package dense
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/htc-align/htc/internal/par"
 )
 
 // naiveMul is the reference O(n³) product used to validate the parallel
@@ -20,6 +24,137 @@ func naiveMul(a, b *Matrix) *Matrix {
 		}
 	}
 	return c
+}
+
+// refMulInto, refMulATAccum and refMulBTInto are the one-term-at-a-time
+// loops the register-blocked kernels replaced, kept verbatim as the
+// bit-identity reference: every output cell must see the same terms in the
+// same order with the same zero skips.
+func refMulInto(c, a, b *Matrix, workers int) {
+	k, n := a.Cols, b.Cols
+	c.Zero()
+	par.For(workers, a.Rows, k*n, func(start, end int) {
+		for i := start; i < end; i++ {
+			ci := c.Data[i*n : i*n+n]
+			ai := a.Data[i*k : i*k+k]
+			for l, av := range ai {
+				if av == 0 {
+					continue
+				}
+				bl := b.Data[l*n : l*n+n]
+				for j, bv := range bl {
+					ci[j] += av * bv
+				}
+			}
+		}
+	})
+}
+
+func refMulATAccum(c, a, b *Matrix, workers int) {
+	k, n := a.Cols, b.Cols
+	par.For(workers, k, a.Rows*n, func(start, end int) {
+		for l := start; l < end; l++ {
+			cl := c.Data[l*n : l*n+n]
+			for i := 0; i < a.Rows; i++ {
+				av := a.Data[i*k+l]
+				if av == 0 {
+					continue
+				}
+				bi := b.Data[i*n : i*n+n]
+				for j, bv := range bi {
+					cl[j] += av * bv
+				}
+			}
+		}
+	})
+}
+
+func refMulBTInto(c, a, b *Matrix, workers int) {
+	k := a.Cols
+	if k == 0 {
+		c.Zero()
+		return
+	}
+	tile := mulBTTile / k
+	if tile < 8 {
+		tile = 8
+	}
+	par.For(workers, a.Rows, b.Rows*k, func(start, end int) {
+		for jt := 0; jt < b.Rows; jt += tile {
+			jEnd := jt + tile
+			if jEnd > b.Rows {
+				jEnd = b.Rows
+			}
+			for i := start; i < end; i++ {
+				ai := a.Data[i*k : i*k+k]
+				ci := c.Data[i*c.Cols : i*c.Cols+c.Cols]
+				for j := jt; j < jEnd; j++ {
+					bj := b.Data[j*k : j*k+k]
+					var s float64
+					for l, av := range ai {
+						s += av * bj[l]
+					}
+					ci[j] = s
+				}
+			}
+		}
+	})
+}
+
+// Ragged outer sizes (m, n) and inner sizes (k) the kernels are checked
+// bit-for-bit on: below, at and past the 2×4 register tile and the
+// four-term groups.
+var (
+	raggedOuter = []int{1, 2, 3, 5, 7, 257}
+	raggedInner = []int{0, 1, 3, 5, 64, 128}
+)
+
+// zeroedOperand returns a random r×c matrix in which about a fifth of the
+// entries are +0 and a tenth -0, so the zero skips are exercised.
+func zeroedOperand(r, c int, rng *rand.Rand) *Matrix {
+	m := randomMatrix(r, c, rng)
+	for i := range m.Data {
+		switch u := rng.Float64(); {
+		case u < 0.2:
+			m.Data[i] = 0
+		case u < 0.3:
+			m.Data[i] = math.Copysign(0, -1)
+		}
+	}
+	return m
+}
+
+// specials are placed in b facing zeros of a: a skipped term never
+// reaches them, a kept one turns the cell into NaN.
+var specials = []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+
+// checkMatchesReference runs kernel with 1 and 3 workers on every ragged
+// (m, k, n) and requires each output bit to equal ref's with 1 worker.
+// operands builds the starting c and the inputs; c's starting values are
+// stale garbage for the overwriting kernels and the addend for MulATAccum.
+func checkMatchesReference(t *testing.T, kernel, ref func(c, a, b *Matrix, workers int),
+	operands func(m, k, n int, rng *rand.Rand) (c, a, b *Matrix)) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(21))
+	for _, m := range raggedOuter {
+		for _, n := range raggedOuter {
+			for _, k := range raggedInner {
+				c, a, b := operands(m, k, n, rng)
+				want := c.Clone()
+				ref(want, a, b, 1)
+				for _, w := range []int{1, 3} {
+					got := c.Clone()
+					kernel(got, a, b, w)
+					for x := range want.Data {
+						if math.Float64bits(got.Data[x]) != math.Float64bits(want.Data[x]) {
+							t.Fatalf("m=%d k=%d n=%d workers=%d: cell %d = %v, reference %v",
+								m, k, n, w, x, got.Data[x], want.Data[x])
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestMulSmall(t *testing.T) {
@@ -118,6 +253,24 @@ func TestMulIntoReusesBuffer(t *testing.T) {
 	if !c.Equal(b, 1e-12) {
 		t.Fatalf("MulInto = %v, want %v", c, b)
 	}
+
+	// On every ragged shape the register-blocked kernel overwrites stale
+	// values with exactly the reference loop's bits. A zero column of a
+	// faces ±Inf/NaN in b: the skipped terms must leave the result finite.
+	checkMatchesReference(t, MulInto, refMulInto, func(m, k, n int, rng *rand.Rand) (c, a, b *Matrix) {
+		a, b = zeroedOperand(m, k, rng), zeroedOperand(k, n, rng)
+		if k >= 2 {
+			for i := 0; i < m; i++ {
+				a.Set(i, 0, math.Copysign(0, float64(i%2*2-1)))
+			}
+			for j := 0; j < n; j++ {
+				b.Set(0, j, specials[j%len(specials)])
+			}
+		}
+		c = New(m, n)
+		c.Fill(99)
+		return c, a, b
+	})
 }
 
 func TestMulBTIntoWorkerCountsAgree(t *testing.T) {
@@ -137,6 +290,23 @@ func TestMulBTIntoWorkerCountsAgree(t *testing.T) {
 			t.Fatalf("MulBTInto with %d workers diverged", w)
 		}
 	}
+
+	// Every worker count also matches the reference loop bit for bit on
+	// ragged shapes around the 2×4 register tile. MulBTInto skips no
+	// terms, so a zero column of a facing ±Inf/NaN in b's last row must
+	// turn that output column into NaN exactly as the reference does.
+	checkMatchesReference(t, MulBTInto, refMulBTInto, func(m, k, n int, rng *rand.Rand) (c, a, b *Matrix) {
+		a, b = zeroedOperand(m, k, rng), zeroedOperand(n, k, rng)
+		if k >= 2 && n >= 2 {
+			for i := 0; i < m; i++ {
+				a.Set(i, 0, math.Copysign(0, float64(i%2*2-1)))
+			}
+			b.Set(n-1, 0, specials[n%len(specials)])
+		}
+		c = New(m, n)
+		c.Fill(-1)
+		return c, a, b
+	})
 }
 
 func TestMulATAccum(t *testing.T) {
@@ -150,6 +320,22 @@ func TestMulATAccum(t *testing.T) {
 	if !c.Equal(want, 1e-12) {
 		t.Fatal("MulATAccum != c + MulAT(a,b)")
 	}
+
+	// Accumulating into a non-zero c, the register-blocked kernel matches
+	// the reference loop bit for bit on ragged shapes. A zero row of a
+	// faces ±Inf/NaN in b: the skipped terms must leave c finite.
+	checkMatchesReference(t, MulATAccum, refMulATAccum, func(m, k, n int, rng *rand.Rand) (c, a, b *Matrix) {
+		a, b = zeroedOperand(m, k, rng), zeroedOperand(m, n, rng)
+		if m >= 2 {
+			for l := 0; l < k; l++ {
+				a.Set(0, l, math.Copysign(0, float64(l%2*2-1)))
+			}
+			for j := 0; j < n; j++ {
+				b.Set(0, j, specials[j%len(specials)])
+			}
+		}
+		return zeroedOperand(k, n, rng), a, b
+	})
 }
 
 func TestTransposeInto(t *testing.T) {
@@ -168,24 +354,45 @@ func TestTransposeInto(t *testing.T) {
 	}
 }
 
-func BenchmarkMul256(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := randomMatrix(256, 256, rng)
-	y := randomMatrix(256, 256, rng)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Mul(x, y)
+// BenchmarkMulKernels times the three GEMM kernels on one worker at the
+// shapes the pipeline runs, for n = 800 and 4000 nodes, and reports each
+// kernel's throughput in GFLOP/s (2·m·k·n per product):
+//   - MulInto: the input layer n×3·3×128, a hidden layer n×128·128×64
+//     and the reconstruction loss n×64·64×64;
+//   - MulATAccum: the weight gradient aᵀ·b accumulated into 128×64;
+//   - MulBTInto: one 256-row top-k scan block against n target rows, the
+//     backward pass n×64·(128×64)ᵀ and the ANN projection n×64·(16×64)ᵀ.
+func BenchmarkMulKernels(b *testing.B) {
+	type shape struct {
+		name           string
+		kernel         func(c, a, b *Matrix, workers int)
+		aR, aC, bR, bC int
+		cR, cC         int
 	}
-}
-
-func BenchmarkMulBT256(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := randomMatrix(256, 64, rng)
-	y := randomMatrix(256, 64, rng)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulBT(x, y)
+	for _, n := range []int{800, 4000} {
+		shapes := []shape{
+			{"MulInto/3x128", MulInto, n, 3, 3, 128, n, 128},
+			{"MulInto/128x64", MulInto, n, 128, 128, 64, n, 64},
+			{"MulInto/64x64", MulInto, n, 64, 64, 64, n, 64},
+			{"MulATAccum/128x64", MulATAccum, n, 128, n, 64, 128, 64},
+			{"MulBTInto/block256", MulBTInto, 256, 64, n, 64, 256, n},
+			{"MulBTInto/128x64", MulBTInto, n, 64, 128, 64, n, 128},
+			{"MulBTInto/16x64", MulBTInto, n, 64, 16, 64, n, 16},
+		}
+		for _, s := range shapes {
+			b.Run(fmt.Sprintf("n=%d/%s", n, s.name), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				x, y := randomMatrix(s.aR, s.aC, rng), randomMatrix(s.bR, s.bC, rng)
+				c := New(s.cR, s.cC)
+				b.ReportAllocs()
+				iters := 0
+				for b.Loop() {
+					s.kernel(c, x, y, 1)
+					iters++
+				}
+				flops := 2 * float64(s.aR) * float64(s.aC) * float64(s.cC) * float64(iters)
+				b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
 	}
 }
