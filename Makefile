@@ -19,9 +19,10 @@ test:
 # With GOAMD64=v3 the compiler contracts x*y+z into FMA; the packages
 # holding the bit-identity contracts (GEMM kernels against their
 # reference loops, dense ≡ top-k ≡ ANN, workers=1 ≡ N, Prepared ≡
-# one-shot) must pass in that build too. Needs an AVX2/FMA host.
+# one-shot, refinement's dense ≡ full candidate list) must pass in that
+# build too. Needs an AVX2/FMA host.
 test-fma:
-	GOAMD64=v3 $(GO) test -count=1 ./internal/dense/ ./internal/align/ ./internal/core/
+	GOAMD64=v3 $(GO) test -count=1 ./internal/dense/ ./internal/align/ ./internal/core/ ./internal/refine/
 
 # The ANN index is the one subsystem with lock-free per-worker counters
 # merged across goroutines; run its suite explicitly under the race

@@ -21,7 +21,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/htc-align/htc/internal/align"
 	"github.com/htc-align/htc/internal/dense"
@@ -284,7 +284,7 @@ type scratch struct {
 	vm     []int32 // support of accV
 	um     []int32 // support of accU
 	rm     []int32 // new row support
-	ord    []int32 // token-selection ordering buffer
+	ord    []int32 // token-selection heap: the tokenK best columns of U so far
 }
 
 func newScratch(cols int) *scratch {
@@ -371,7 +371,7 @@ func (sc *scratch) updateRow(i int, s *state, gs, gt *graph.Graph, eps float64, 
 	sc.vm = vm
 	// Second hop in ascending v so U's accumulation order never depends
 	// on which neighbor row introduced a column.
-	sort.Slice(vm, func(a, b int) bool { return vm[a] < vm[b] })
+	slices.Sort(vm)
 
 	um := sc.um[:0]
 	for _, v := range vm {
@@ -392,16 +392,7 @@ func (sc *scratch) updateRow(i int, s *state, gs, gt *graph.Graph, eps float64, 
 	// outside the current support become a candidate.
 	tm := um
 	if tokenK < len(um) {
-		ord := append(sc.ord[:0], um...)
-		sort.Slice(ord, func(a, b int) bool {
-			ja, jb := ord[a], ord[b]
-			if sc.accU[ja] != sc.accU[jb] {
-				return sc.accU[ja] > sc.accU[jb]
-			}
-			return ja < jb
-		})
-		sc.ord = ord
-		tm = ord[:tokenK]
+		tm = sc.selectTokens(um, tokenK)
 	}
 	for _, j := range tm {
 		sc.token[j] = gen
@@ -427,7 +418,7 @@ func (sc *scratch) updateRow(i int, s *state, gs, gt *graph.Graph, eps float64, 
 	if len(rm) == 0 {
 		return nil, nil
 	}
-	sort.Slice(rm, func(a, b int) bool { return rm[a] < rm[b] })
+	slices.Sort(rm)
 
 	idx := make([]int32, len(rm))
 	copy(idx, rm)
@@ -460,4 +451,53 @@ func (sc *scratch) updateRow(i int, s *state, gs, gt *graph.Graph, eps float64, 
 		score[c] *= inv
 	}
 	return idx, score
+}
+
+// selectTokens returns the tokenK best columns of um (0 < tokenK <
+// len(um)) under the strict total order accU desc, column asc, in heap
+// order rather than rank order. The order being total, the selected set
+// is exactly the first tokenK entries of a full sort, ties included, and
+// callers use the result only as a set. The heap lives in sc.ord with
+// its worst kept column at the root, so each remaining column costs one
+// comparison unless it displaces the root.
+func (sc *scratch) selectTokens(um []int32, tokenK int) []int32 {
+	h := append(sc.ord[:0], um[:tokenK]...)
+	for i := tokenK/2 - 1; i >= 0; i-- {
+		sc.siftDown(h, i)
+	}
+	for _, j := range um[tokenK:] {
+		if sc.better(j, h[0]) {
+			h[0] = j
+			sc.siftDown(h, 0)
+		}
+	}
+	sc.ord = h
+	return h
+}
+
+// better reports whether column a ranks before column b: the higher
+// accU first, ties to the lower column.
+func (sc *scratch) better(a, b int32) bool {
+	if ua, ub := sc.accU[a], sc.accU[b]; ua != ub {
+		return ua > ub
+	}
+	return a < b
+}
+
+// siftDown restores the worst-at-root heap property of h below node i.
+func (sc *scratch) siftDown(h []int32, i int) {
+	for {
+		w, l := i, 2*i+1
+		if l < len(h) && sc.better(h[w], h[l]) {
+			w = l
+		}
+		if r := l + 1; r < len(h) && sc.better(h[w], h[r]) {
+			w = r
+		}
+		if w == i {
+			return
+		}
+		h[i], h[w] = h[w], h[i]
+		i = w
+	}
 }

@@ -1,7 +1,10 @@
 package refine
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/htc-align/htc/internal/align"
@@ -65,29 +68,78 @@ func TestDenseAndFullCandidateListAgreeBitwise(t *testing.T) {
 		m.Data[i] -= 0.05
 	}
 
-	dres, err := Refine(align.DenseSim{M: m.Clone()}, gs, gt, Options{Iters: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sres, err := Refine(fullTopK(m), gs, gt, Options{Iters: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dm := dres.Sim.(align.DenseSim).M
-	for i := 0; i < 40; i++ {
-		for j := 0; j < 40; j++ {
-			sv, ok := sres.Sim.At(i, j)
-			if !ok {
-				t.Fatalf("pair (%d,%d) missing from the full candidate list after refinement", i, j)
+	// TokenK 0 resolves to every column, so no token selection runs;
+	// TokenK 3 sends every row through the bounded top-tokenK selection.
+	for _, tokenK := range []int{0, 3} {
+		opts := Options{Iters: 4, TokenK: tokenK}
+		dres, err := Refine(align.DenseSim{M: m.Clone()}, gs, gt, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sres, err := Refine(fullTopK(m), gs, gt, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dm := dres.Sim.(align.DenseSim).M
+		for i := 0; i < 40; i++ {
+			for j := 0; j < 40; j++ {
+				sv, ok := sres.Sim.At(i, j)
+				if !ok {
+					t.Fatalf("TokenK %d: pair (%d,%d) missing from the full candidate list after refinement", tokenK, i, j)
+				}
+				if sv != dm.At(i, j) {
+					t.Fatalf("TokenK %d: refined score (%d,%d): dense %v, candidate list %v", tokenK, i, j, dm.At(i, j), sv)
+				}
 			}
-			if sv != dm.At(i, j) {
-				t.Fatalf("refined score (%d,%d): dense %v, candidate list %v", i, j, dm.At(i, j), sv)
+		}
+		for it := range dres.MNC {
+			if dres.MNC[it] != sres.MNC[it] {
+				t.Fatalf("TokenK %d: MNC[%d]: dense %v, candidate list %v", tokenK, it, dres.MNC[it], sres.MNC[it])
 			}
 		}
 	}
-	for it := range dres.MNC {
-		if dres.MNC[it] != sres.MNC[it] {
-			t.Fatalf("MNC[%d]: dense %v, candidate list %v", it, dres.MNC[it], sres.MNC[it])
+}
+
+// sortSelectTokens is the reference token selection: fully sort U by
+// (accU desc, column asc) and take the first tokenK entries.
+func sortSelectTokens(accU []float64, um []int32, tokenK int) []int32 {
+	ord := append([]int32(nil), um...)
+	sort.Slice(ord, func(a, b int) bool {
+		ja, jb := ord[a], ord[b]
+		if accU[ja] != accU[jb] {
+			return accU[ja] > accU[jb]
+		}
+		return ja < jb
+	})
+	return ord[:tokenK]
+}
+
+// TestSelectTokensMatchesFullSort checks the bounded selection picks
+// exactly the set the full sort's first tokenK entries form, on random
+// U whose scores sit on a few levels (so exact ties are common, and
+// −0 ties +0) and whose columns arrive in random order.
+func TestSelectTokensMatchesFullSort(t *testing.T) {
+	const cols = 1000
+	rng := rand.New(rand.NewSource(21))
+	levels := []float64{math.Copysign(0, -1), 0, 0.25, 0.5, 1, 3}
+	sc := newScratch(cols)
+	for n := 2; n <= 300; n++ {
+		um := make([]int32, n)
+		for c, j := range rng.Perm(cols)[:n] {
+			um[c] = int32(j)
+			sc.accU[j] = levels[rng.Intn(len(levels))]
+		}
+		for _, tokenK := range []int{1, 2, n / 2, n - 1} {
+			if tokenK < 1 || tokenK >= n {
+				continue
+			}
+			want := sortSelectTokens(sc.accU, um, tokenK)
+			got := append([]int32(nil), sc.selectTokens(um, tokenK)...)
+			slices.Sort(want)
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("|U|=%d tokenK=%d: selected %v, full sort %v", n, tokenK, got, want)
+			}
 		}
 	}
 }
