@@ -8,7 +8,7 @@ FUZZTIME ?= 10s
 FUZZ_TARGETS = FuzzEdgeList FuzzAdjList FuzzJSON FuzzHTCGraph FuzzSniff FuzzTruth
 SERVER_FUZZ_TARGETS = FuzzAlignRequest FuzzRefineRequest FuzzBuildDataset
 
-.PHONY: build test test-fma test-ann test-refine lint bench bench-snapshot bench-io bench-gate fuzz ci
+.PHONY: build test test-fma test-ann test-refine lint bench bench-snapshot bench-pipeline bench-io bench-gate fuzz ci
 
 build:
 	$(GO) build ./...
@@ -18,11 +18,12 @@ test:
 
 # With GOAMD64=v3 the compiler contracts x*y+z into FMA; the packages
 # holding the bit-identity contracts (GEMM kernels against their
-# reference loops, dense ≡ top-k ≡ ANN, workers=1 ≡ N, Prepared ≡
-# one-shot, refinement's dense ≡ full candidate list) must pass in that
-# build too. Needs an AVX2/FMA host.
+# reference loops, dense ≡ top-k ≡ ANN, the ANN index's full gather ≡
+# brute force, the k-best selector ≡ a full sort, workers=1 ≡ N,
+# Prepared ≡ one-shot, refinement's dense ≡ full candidate list) must
+# pass in that build too. Needs an AVX2/FMA host.
 test-fma:
-	GOAMD64=v3 $(GO) test -count=1 ./internal/dense/ ./internal/align/ ./internal/core/ ./internal/refine/
+	GOAMD64=v3 $(GO) test -count=1 ./internal/dense/ ./internal/align/ ./internal/ann/ ./internal/kbest/ ./internal/core/ ./internal/refine/
 
 # The ANN index is the one subsystem with lock-free per-worker counters
 # merged across goroutines; run its suite explicitly under the race

@@ -168,12 +168,18 @@ func main() {
 		}
 	}
 
-	for _, v := range variants {
+	for i, v := range variants {
 		cfg := base
 		cfg.Variant = v
 		res, err := prep.Align(cfg)
 		if err != nil {
 			log.Fatal(err)
+		}
+		if i == 0 {
+			// The first variant paid the eager orbit/Laplacian build inside
+			// Prepare; report it in its stage decomposition, as the server
+			// does for the first config of a sweep.
+			res.Timings.AddPrepare(pt)
 		}
 		simNote := "sim=" + res.SimBackend
 		if res.CandidateK > 0 {

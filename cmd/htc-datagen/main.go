@@ -1,5 +1,6 @@
-// Command htc-datagen generates the synthetic benchmark datasets described
-// in DESIGN.md (stand-ins for the paper's five network pairs) and writes
+// Command htc-datagen generates the synthetic benchmark datasets of
+// internal/datasets (stand-ins for the paper's five network pairs, each
+// generator documenting the real dataset it mimics) and writes
 // them in the library's text format, plus a ground-truth file consumable
 // by htc-align.
 //

@@ -25,7 +25,7 @@
 // HTC run and adds a "p@1 raw" (unrefined) column to the variant tables,
 // so the refinement lift is measurable per variant; -refine-token-k
 // tunes its token budget. Output is plain text, one section per
-// artefact; EXPERIMENTS.md records a reference run.
+// artefact.
 //
 // The variant and hyperparameter sweeps (table3, fig10, fig11) run on
 // the staged Prepare/Align API: each graph pair's orbit counts and

@@ -37,10 +37,7 @@ func (s *annScratch) topK(hs, ht *dense.Matrix, k, workers int) *Candidates {
 		s.ix = ann.New(s.p)
 	}
 	s.ix.Fit(s.b, workers)
-	r := s.ix.TopK(s.a, k, workers)
-	// Result and Candidates share their layout; adopt the backing
-	// arrays without copying.
-	return &Candidates{K: r.K, Idx: r.Idx, Score: r.Score}
+	return s.ix.TopK(s.a, k, workers)
 }
 
 // stats returns the scratch's accumulated index statistics; the zero

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"github.com/htc-align/htc/internal/dense"
+	"github.com/htc-align/htc/internal/kbest"
 )
 
 // Backend names for Sim implementations (mirrored into configs, results
@@ -221,7 +222,7 @@ func IntegrateSims(sims []Sim, trusted []int) (Sim, []float64) {
 		for c, j := range members {
 			score[c] = acc[j]
 		}
-		sortRowDesc(members, score)
+		kbest.SortRow(members, score)
 		out.Idx[i] = members
 		out.Score[i] = score
 		if len(members) > maxK {
@@ -249,34 +250,3 @@ func integrationWeights(trusted []int) []float64 {
 	}
 	return gammas
 }
-
-// candRow sorts a candidate row in place: descending score, ties by
-// ascending column index (the dense argmax tie rule). The comparator is a
-// strict total order, so an unstable sort is deterministic.
-type candRow struct {
-	idx   []int32
-	score []float64
-}
-
-func (r candRow) Len() int { return len(r.idx) }
-func (r candRow) Less(a, b int) bool {
-	if r.score[a] != r.score[b] {
-		return r.score[a] > r.score[b]
-	}
-	return r.idx[a] < r.idx[b]
-}
-func (r candRow) Swap(a, b int) {
-	r.idx[a], r.idx[b] = r.idx[b], r.idx[a]
-	r.score[a], r.score[b] = r.score[b], r.score[a]
-}
-
-// sortRowDesc orders one candidate row best-first in place.
-func sortRowDesc(idx []int32, score []float64) {
-	sort.Sort(candRow{idx: idx, score: score})
-}
-
-// SortRowDesc orders a candidate row best-first in place: descending
-// score, ties by ascending column — the one tie rule every sparse
-// consumer (matching, evaluation, refinement) shares, exported so other
-// packages producing candidate rows cannot drift from it.
-func SortRowDesc(idx []int32, score []float64) { sortRowDesc(idx, score) }

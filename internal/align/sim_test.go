@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"github.com/htc-align/htc/internal/dense"
+	"github.com/htc-align/htc/internal/kbest"
 )
 
 // fullTopKSim wraps a dense score matrix as a top-k representation with
@@ -20,7 +21,7 @@ func fullTopKSim(m *dense.Matrix) *TopKSim {
 			idx[j] = int32(j)
 		}
 		copy(score, m.Row(i))
-		sortRowDesc(idx, score)
+		kbest.SortRow(idx, score)
 		c.Idx[i] = idx
 		c.Score[i] = score
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/htc-align/htc/internal/dense"
+	"github.com/htc-align/htc/internal/kbest"
 	"github.com/htc-align/htc/internal/par"
 )
 
@@ -11,15 +12,9 @@ import (
 // other side with their similarity scores, in descending score order
 // (ties by lower index). It is the memory-bounded alternative to the full
 // ns×nt similarity matrix: O(n·k) instead of O(n²), computed in row
-// blocks. Both per-row slices of one Candidates share two backing arrays,
-// so a whole structure costs two allocations plus headers.
-type Candidates struct {
-	K int
-	// Idx[i] lists the candidate ids of query i, best first.
-	Idx [][]int32
-	// Score[i] holds the matching similarities.
-	Score [][]float64
-}
+// blocks. The exact scan and the ANN index both produce it in the shared
+// kbest layout, so either one's output is adopted without copying.
+type Candidates = kbest.Lists
 
 // topkScratch is the reusable working set of blocked top-k similarity:
 // the centered/normalised embedding copies and one similarity block per
@@ -28,7 +23,7 @@ type Candidates struct {
 type topkScratch struct {
 	a, b   *dense.Matrix   // centered + row-normalised embedding copies
 	blocks []*dense.Matrix // per-worker sim-block buffers
-	heaps  []candHeap      // per-worker top-k selection heaps
+	heaps  []kbest.Heap    // per-worker top-k selection heaps
 }
 
 // TopKCandidates computes the top-k Pearson-similar target rows for every
@@ -79,19 +74,7 @@ func (s *topkScratch) topK(hs, ht *dense.Matrix, k, workers int) *Candidates {
 	dense.CenterNormalizeRowsInto(s.b, ht)
 
 	ns, nt := hs.Rows, ht.Rows
-	out := &Candidates{
-		K:     k,
-		Idx:   make([][]int32, ns),
-		Score: make([][]float64, ns),
-	}
-	// All rows share two backing arrays: two allocations for the whole
-	// structure instead of two per row.
-	idxBack := make([]int32, ns*k)
-	scoreBack := make([]float64, ns*k)
-	for i := 0; i < ns; i++ {
-		out.Idx[i] = idxBack[i*k : i*k+k : i*k+k]
-		out.Score[i] = scoreBack[i*k : i*k+k : i*k+k]
-	}
+	out := kbest.NewLists(ns, k)
 	if ns == 0 || k == 0 {
 		return out
 	}
@@ -106,7 +89,7 @@ func (s *topkScratch) topK(hs, ht *dense.Matrix, k, workers int) *Candidates {
 		s.blocks = append(s.blocks, make([]*dense.Matrix, w-len(s.blocks))...)
 	}
 	if len(s.heaps) < w {
-		s.heaps = append(s.heaps, make([]candHeap, w-len(s.heaps))...)
+		s.heaps = append(s.heaps, make([]kbest.Heap, w-len(s.heaps))...)
 	}
 	a, b := s.a, s.b
 	par.Sharded(w, nBlocks, func(worker, blk int) {
@@ -124,96 +107,14 @@ func (s *topkScratch) topK(hs, ht *dense.Matrix, k, workers int) *Candidates {
 		dense.MulBTInto(sim, block, b, 1)
 		h := &s.heaps[worker]
 		for r := 0; r < rows; r++ {
-			h.selectInto(out.Idx[start+r], out.Score[start+r], sim.Row(r))
+			h.Reset(k)
+			for j, v := range sim.Row(r) {
+				h.Offer(int32(j), v)
+			}
+			h.Drain(out.Idx[start+r], out.Score[start+r])
 		}
 	})
 	return out
-}
-
-// candHeap selects the k largest entries of a row deterministically: a
-// fixed-capacity min-heap ordered by "worse first", where worse means a
-// smaller score or, on equal scores, a larger index. Popping everything
-// back-to-front therefore yields descending scores with ties by lower
-// index — exactly the order a stable descending sort would produce.
-type candHeap struct {
-	idx   []int32
-	score []float64
-}
-
-// worse reports whether heap slot a holds a strictly worse candidate
-// than slot b.
-func (h *candHeap) worse(a, b int) bool {
-	if h.score[a] != h.score[b] {
-		return h.score[a] < h.score[b]
-	}
-	return h.idx[a] > h.idx[b]
-}
-
-func (h *candHeap) swap(a, b int) {
-	h.idx[a], h.idx[b] = h.idx[b], h.idx[a]
-	h.score[a], h.score[b] = h.score[b], h.score[a]
-}
-
-func (h *candHeap) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.worse(i, p) {
-			return
-		}
-		h.swap(i, p)
-		i = p
-	}
-}
-
-func (h *candHeap) siftDown(i, n int) {
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && h.worse(r, l) {
-			m = r
-		}
-		if !h.worse(m, i) {
-			return
-		}
-		h.swap(i, m)
-		i = m
-	}
-}
-
-// selectInto writes row's k largest entries (k = len(outIdx), descending,
-// ties by lower index) into the output slices.
-func (h *candHeap) selectInto(outIdx []int32, outScore []float64, row []float64) {
-	k := len(outIdx)
-	if k == 0 {
-		return
-	}
-	h.idx = h.idx[:0]
-	h.score = h.score[:0]
-	for j, v := range row {
-		if len(h.idx) < k {
-			h.idx = append(h.idx, int32(j))
-			h.score = append(h.score, v)
-			h.siftUp(len(h.idx) - 1)
-			continue
-		}
-		// Strictly better than the current worst? (On a score tie the
-		// lower index — already in the heap — wins.)
-		if v > h.score[0] || (v == h.score[0] && int32(j) < h.idx[0]) {
-			h.idx[0], h.score[0] = int32(j), v
-			h.siftDown(0, k)
-		}
-	}
-	// Pop worst-first into the tail of the output.
-	n := len(h.idx)
-	for p := n - 1; p >= 0; p-- {
-		outIdx[p], outScore[p] = h.idx[0], h.score[0]
-		h.swap(0, n-1)
-		n--
-		h.siftDown(0, n)
-	}
 }
 
 // SparseLISI evaluates the LISI score only on candidate pairs: forward
@@ -314,6 +215,6 @@ func lisiTransform(c *Candidates, dt, ds []float64) {
 		for p, j := range cands {
 			scores[p] = 2*scores[p] - di - ds[j]
 		}
-		sortRowDesc(cands, scores)
+		kbest.SortRow(cands, scores)
 	}
 }

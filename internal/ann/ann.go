@@ -41,6 +41,7 @@ import (
 	"sync/atomic"
 
 	"github.com/htc-align/htc/internal/dense"
+	"github.com/htc-align/htc/internal/kbest"
 	"github.com/htc-align/htc/internal/par"
 )
 
@@ -119,14 +120,9 @@ func AutoProbes(bits int) int {
 
 // Result holds every query's top-k ids and scores; rows are sorted by
 // descending score with ties broken by lower id — the same order the
-// exact blocked scan produces. All rows share two backing arrays, and
-// the layout mirrors align.Candidates so that layer can adopt the
-// slices without copying.
-type Result struct {
-	K     int
-	Idx   [][]int32
-	Score [][]float64
-}
+// exact blocked scan produces. It is the shared kbest layout, the same
+// type as align.Candidates, so that layer adopts it as-is.
+type Result = kbest.Lists
 
 // Index is a signed-random-projection LSH index over the rows of one
 // matrix. Fit hashes the rows; TopK answers batched queries. An Index is
@@ -335,17 +331,7 @@ func (ix *Index) TopK(queries *dense.Matrix, k, workers int) *Result {
 	if k > ix.n {
 		k = ix.n
 	}
-	out := &Result{
-		K:     k,
-		Idx:   make([][]int32, nq),
-		Score: make([][]float64, nq),
-	}
-	idxBack := make([]int32, nq*k)
-	scoreBack := make([]float64, nq*k)
-	for i := 0; i < nq; i++ {
-		out.Idx[i] = idxBack[i*k : i*k+k : i*k+k]
-		out.Score[i] = scoreBack[i*k : i*k+k : i*k+k]
-	}
+	out := kbest.NewLists(nq, k)
 	if nq == 0 || k == 0 {
 		return out
 	}
@@ -396,26 +382,17 @@ func (ix *Index) TopK(queries *dense.Matrix, k, workers int) *Result {
 
 // searcher is one worker's private query scratch.
 type searcher struct {
-	z    []float64 // query projections (bias-adjusted)
-	abs  []float64 // projection margins |z|
-	perm []int     // bit positions sorted by ascending margin
-	heap probeHeap // pending perturbation sets of the main probe loop
+	top  prober // multi-probe walk over the first-level buckets
+	sub  prober // the same walk one level down, over a re-hashed bucket
 	pool []int32
 	// deferred holds (lo, hi) pairs of order-array segments set aside by
 	// sub-bucketed gathers: the parent-bucket rows beyond the sub-probe
 	// budget, drained in probe order only if the pool falls short of k.
 	deferred []int32
-	// Sub-probe scratch: the same margin/heap machinery one level down,
-	// over a re-hashed bucket's second-level table.
-	subZ    []float64
-	subAbs  []float64
-	subPerm []int
-	subHeap probeHeap
-	visited []int32 // (lo, hi) sub-bucket spans taken from the current bucket
+	visited  []int32 // (lo, hi) sub-bucket spans taken from the current bucket
 
-	q   []float64 // current query row (borrowed during one search)
-	cap int       // effective pool cap for this TopK call (0 = none)
-	sel selHeap
+	cap int // effective pool cap for this TopK call (0 = none)
+	sel kbest.Heap
 
 	queries  int64 // per-TopK stat accumulators
 	poolRows int64
@@ -456,69 +433,19 @@ func (ix *Index) search(s *searcher, q []float64, k int, outIdx []int32, outScor
 		if ix.n > s.maxPool {
 			s.maxPool = ix.n
 		}
-		s.sel.selectRows(outIdx, outScore, q, ix.data, nil, ix.n)
+		s.rerank(outIdx, outScore, q, ix.data, nil, ix.n)
 		return
 	}
-	s.q = q
-	nbits := ix.p.Bits
-	s.z = resize(s.z, nbits)
-	s.abs = resize(s.abs, nbits)
-	for j := 0; j < nbits; j++ {
-		s.z[j] = dot(q, ix.planes.Row(j)) - ix.bias[j]
-		s.abs[j] = math.Abs(s.z[j])
-	}
-	var code uint32
-	for j, v := range s.z {
-		if v >= 0 {
-			code |= 1 << uint(j)
-		}
-	}
-	// Sort bit positions by ascending margin (ties by lower position):
-	// flipping a near-zero projection is the cheapest perturbation.
-	// Insertion sort — nbits ≤ 20.
-	if cap(s.perm) < nbits {
-		s.perm = make([]int, nbits)
-	}
-	s.perm = s.perm[:nbits]
-	for j := range s.perm {
-		s.perm[j] = j
-	}
-	for i := 1; i < nbits; i++ {
-		p := s.perm[i]
-		j := i
-		for j > 0 && s.abs[p] < s.abs[s.perm[j-1]] {
-			s.perm[j] = s.perm[j-1]
-			j--
-		}
-		s.perm[j] = p
-	}
-
-	// Walk buckets in multi-probe order: the query's own bucket, then
-	// perturbation sets popped cheapest-first, each pop seeding its
-	// shift and expand successors (every non-empty set is generated
-	// exactly once). Keep probing past the floor until the pool covers
-	// k — the full enumeration reaches every bucket, and any rows a
-	// sub-bucketed gather deferred are drained afterwards, so pool ≥ k
-	// always terminates.
-	s.heap.reset()
+	// Keep probing past the floor until the pool covers k — the full
+	// enumeration reaches every bucket, and any rows a sub-bucketed
+	// gather deferred are drained afterwards, so pool ≥ k always
+	// terminates.
 	s.pool = s.pool[:0]
 	s.deferred = s.deferred[:0]
-	ix.gather(s, code)
-	s.heap.push(s.abs[s.perm[0]], 1)
-	total := 1 << nbits
-	for probed := 1; s.wantMore(k, probed, ix.p.Probes) && probed < total && s.heap.len() > 0; probed++ {
-		cost, mask := s.heap.pop()
-		var flip uint32
-		for m := mask; m != 0; m &= m - 1 {
-			flip |= 1 << uint(s.perm[bits.TrailingZeros32(m)])
-		}
-		ix.gather(s, code^flip)
-		if top := bits.Len32(mask) - 1; top+1 < nbits {
-			mTop := s.abs[s.perm[top]]
-			mNext := s.abs[s.perm[top+1]]
-			s.heap.push(cost-mTop+mNext, mask&^(1<<uint(top))|1<<uint(top+1)) // shift
-			s.heap.push(cost+mNext, mask|1<<uint(top+1))                      // expand
-		}
+	probed := 0
+	for b, ok := s.top.start(q, ix.planes, ix.bias), true; ok && s.wantMore(k, probed, ix.p.Probes); b, ok = s.top.next() {
+		ix.gather(s, q, b)
+		probed++
 	}
 	for di := 0; di+1 < len(s.deferred) && len(s.pool) < k; di += 2 {
 		s.take(ix.order[s.deferred[di]:s.deferred[di+1]])
@@ -527,7 +454,7 @@ func (ix *Index) search(s *searcher, q []float64, k int, outIdx []int32, outScor
 	if len(s.pool) > s.maxPool {
 		s.maxPool = len(s.pool)
 	}
-	s.sel.selectRows(outIdx, outScore, q, ix.data, s.pool, 0)
+	s.rerank(outIdx, outScore, q, ix.data, s.pool, 0)
 }
 
 // gather appends one bucket's rows to the candidate pool. Buckets
@@ -538,7 +465,7 @@ func (ix *Index) search(s *searcher, q []float64, k int, outIdx []int32, outScor
 // — so a hot bucket can't flood the pool; the unvisited remainder is
 // deferred, to be drained after the probe loop only if the pool falls
 // short of k.
-func (ix *Index) gather(s *searcher, bucket uint32) {
+func (ix *Index) gather(s *searcher, q []float64, bucket uint32) {
 	lo, hi := ix.start[bucket], ix.start[bucket+1]
 	if lo == hi {
 		return
@@ -552,62 +479,16 @@ func (ix *Index) gather(s *searcher, bucket uint32) {
 		return
 	}
 	st := &ix.subs[si]
-	sb := st.bits
-	s.subZ = resize(s.subZ, sb)
-	s.subAbs = resize(s.subAbs, sb)
-	var code uint32
-	for j := 0; j < sb; j++ {
-		z := dot(s.q, st.planes.Row(j)) - st.bias[j]
-		s.subZ[j] = z
-		s.subAbs[j] = math.Abs(z)
-		if z >= 0 {
-			code |= 1 << uint(j)
-		}
-	}
-	if cap(s.subPerm) < sb {
-		s.subPerm = make([]int, sb)
-	}
-	s.subPerm = s.subPerm[:sb]
-	for j := range s.subPerm {
-		s.subPerm[j] = j
-	}
-	for i := 1; i < sb; i++ {
-		p := s.subPerm[i]
-		j := i
-		for j > 0 && s.subAbs[p] < s.subAbs[s.subPerm[j-1]] {
-			s.subPerm[j] = s.subPerm[j-1]
-			j--
-		}
-		s.subPerm[j] = p
-	}
 	taken := 0
 	s.visited = s.visited[:0]
-	probe := func(c uint32) {
+	for c, ok := s.sub.start(q, st.planes, st.bias), true; ok && taken < ix.subBudget; c, ok = s.sub.next() {
 		slo, shi := lo+st.start[c], lo+st.start[c+1]
 		if slo == shi {
-			return
+			continue
 		}
 		s.take(ix.order[slo:shi])
 		taken += int(shi - slo)
 		s.visited = append(s.visited, slo, shi)
-	}
-	s.subHeap.reset()
-	probe(code)
-	s.subHeap.push(s.subAbs[s.subPerm[0]], 1)
-	total := 1 << uint(sb)
-	for probed := 1; taken < ix.subBudget && probed < total && s.subHeap.len() > 0; probed++ {
-		cost, mask := s.subHeap.pop()
-		var flip uint32
-		for m := mask; m != 0; m &= m - 1 {
-			flip |= 1 << uint(s.subPerm[bits.TrailingZeros32(m)])
-		}
-		probe(code ^ flip)
-		if top := bits.Len32(mask) - 1; top+1 < sb {
-			mTop := s.subAbs[s.subPerm[top]]
-			mNext := s.subAbs[s.subPerm[top+1]]
-			s.subHeap.push(cost-mTop+mNext, mask&^(1<<uint(top))|1<<uint(top+1))
-			s.subHeap.push(cost+mNext, mask|1<<uint(top+1))
-		}
 	}
 	// Defer the unvisited remainder. Sub-buckets are contiguous spans of
 	// the parent segment, so the complement of the visited spans is a
@@ -634,11 +515,80 @@ func (ix *Index) gather(s *searcher, bucket uint32) {
 	}
 }
 
+// prober walks buckets in multi-probe order (Lv et al., VLDB'07): the
+// query's own bucket, then perturbation sets popped cheapest-first from
+// a probeHeap, each pop seeding its shift and expand successors, so
+// every non-empty set of flipped bits is generated exactly once. The
+// first-level walk and the sub-table walk of a re-hashed bucket each
+// run one.
+type prober struct {
+	abs  []float64 // per-bit projection margins |z|
+	perm []int     // bit positions sorted by ascending margin
+	heap probeHeap
+	code uint32 // the query's own bucket
+}
+
+// start hashes q against the planes and per-bit offsets, orders the bits
+// by margin and returns q's own bucket.
+func (p *prober) start(q []float64, planes *dense.Matrix, bias []float64) uint32 {
+	nb := planes.Rows
+	p.abs = resize(p.abs, nb)
+	p.code = 0
+	for j := 0; j < nb; j++ {
+		z := dot(q, planes.Row(j)) - bias[j]
+		p.abs[j] = math.Abs(z)
+		if z >= 0 {
+			p.code |= 1 << uint(j)
+		}
+	}
+	// Sort bit positions by ascending margin (ties by lower position):
+	// flipping a near-zero projection is the cheapest perturbation.
+	// Insertion sort — nb ≤ 20.
+	if cap(p.perm) < nb {
+		p.perm = make([]int, nb)
+	}
+	p.perm = p.perm[:nb]
+	for j := range p.perm {
+		p.perm[j] = j
+	}
+	for i := 1; i < nb; i++ {
+		b := p.perm[i]
+		j := i
+		for j > 0 && p.abs[b] < p.abs[p.perm[j-1]] {
+			p.perm[j] = p.perm[j-1]
+			j--
+		}
+		p.perm[j] = b
+	}
+	p.heap.reset()
+	p.heap.push(p.abs[p.perm[0]], 1)
+	return p.code
+}
+
+// next returns the next bucket in probe order; ok is false once every
+// bucket has been returned.
+func (p *prober) next() (bucket uint32, ok bool) {
+	if p.heap.len() == 0 {
+		return 0, false
+	}
+	cost, mask := p.heap.pop()
+	var flip uint32
+	for m := mask; m != 0; m &= m - 1 {
+		flip |= 1 << uint(p.perm[bits.TrailingZeros32(m)])
+	}
+	if top := bits.Len32(mask) - 1; top+1 < len(p.perm) {
+		mTop := p.abs[p.perm[top]]
+		mNext := p.abs[p.perm[top+1]]
+		p.heap.push(cost-mTop+mNext, mask&^(1<<uint(top))|1<<uint(top+1)) // shift
+		p.heap.push(cost+mNext, mask|1<<uint(top+1))                      // expand
+	}
+	return p.code ^ flip, true
+}
+
 // probeHeap is a binary min-heap of pending perturbation sets, ordered
 // by (cost, mask): cost is the summed margin of the flipped bits, the
 // mask identifies the set over margin-sorted positions and breaks cost
-// ties deterministically. The main probe loop and the sub-probe of a
-// re-hashed bucket each run one.
+// ties deterministically.
 type probeHeap struct {
 	c []float64
 	m []uint32
@@ -698,98 +648,25 @@ func probeLess(c1 float64, m1 uint32, c2 float64, m2 uint32) bool {
 	return m1 < m2
 }
 
-// selHeap selects the k best candidates of one query deterministically:
-// a fixed-capacity min-heap ordered worse-first (smaller score, then
-// larger id at the root), popped back-to-front into descending order —
-// the same rule as the exact blocked scan, so equal pools give equal
-// output.
-type selHeap struct {
-	idx   []int32
-	score []float64
-}
-
-func (h *selHeap) worse(a, b int) bool {
-	if h.score[a] != h.score[b] {
-		return h.score[a] < h.score[b]
-	}
-	return h.idx[a] > h.idx[b]
-}
-
-func (h *selHeap) swap(a, b int) {
-	h.idx[a], h.idx[b] = h.idx[b], h.idx[a]
-	h.score[a], h.score[b] = h.score[b], h.score[a]
-}
-
-func (h *selHeap) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.worse(i, p) {
-			return
-		}
-		h.swap(i, p)
-		i = p
-	}
-}
-
-func (h *selHeap) siftDown(i, n int) {
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && h.worse(r, l) {
-			m = r
-		}
-		if !h.worse(m, i) {
-			return
-		}
-		h.swap(i, m)
-		i = m
-	}
-}
-
-// selectRows scores candidates against the query by sequential dot
-// product — the same per-cell association as the dense kernel — and
-// writes the k = len(outIdx) best into the output slices. Candidates
-// come from pool when non-nil, or rows 0..scanN−1 otherwise (the exact
-// full scan).
-func (h *selHeap) selectRows(outIdx []int32, outScore []float64, q []float64, data *dense.Matrix, pool []int32, scanN int) {
-	k := len(outIdx)
-	if k == 0 {
-		return
-	}
-	h.idx = h.idx[:0]
-	h.score = h.score[:0]
-	consider := func(j int32) {
-		v := dot(q, data.Row(int(j)))
-		if len(h.idx) < k {
-			h.idx = append(h.idx, j)
-			h.score = append(h.score, v)
-			h.siftUp(len(h.idx) - 1)
-			return
-		}
-		if v > h.score[0] || (v == h.score[0] && j < h.idx[0]) {
-			h.idx[0], h.score[0] = j, v
-			h.siftDown(0, k)
-		}
-	}
+// rerank scores candidates against the query by sequential dot product
+// — the same per-cell association as the dense kernel — and writes the
+// k = len(outIdx) best into the output slices, under the exact scan's
+// selection rule, so equal pools give equal output. Candidates come
+// from pool when non-nil, or rows 0..scanN−1 otherwise (the exact full
+// scan).
+func (s *searcher) rerank(outIdx []int32, outScore []float64, q []float64, data *dense.Matrix, pool []int32, scanN int) {
+	h := &s.sel
+	h.Reset(len(outIdx))
 	if pool != nil {
 		for _, j := range pool {
-			consider(j)
+			h.Offer(j, dot(q, data.Row(int(j))))
 		}
 	} else {
 		for j := 0; j < scanN; j++ {
-			consider(int32(j))
+			h.Offer(int32(j), dot(q, data.Row(j)))
 		}
 	}
-	n := len(h.idx)
-	for p := n - 1; p >= 0; p-- {
-		outIdx[p], outScore[p] = h.idx[0], h.score[0]
-		h.swap(0, n-1)
-		n--
-		h.siftDown(0, n)
-	}
+	h.Drain(outIdx, outScore)
 }
 
 // dot is the sequential inner product — the exact association the dense

@@ -501,6 +501,18 @@ type StageTimings struct {
 	TotalBytes         uint64
 }
 
+// AddPrepare folds the stage-1/2 build that Prepare ran eagerly (see
+// Prepared.PrepareTimings) into the decomposition: its orbit-counting and
+// Laplacian durations and bytes, and those bytes into TotalBytes. Total
+// is left to the caller, which owns the run's wall clock.
+func (s *StageTimings) AddPrepare(p StageTimings) {
+	s.OrbitCounting += p.OrbitCounting
+	s.Laplacians += p.Laplacians
+	s.OrbitCountingBytes += p.OrbitCountingBytes
+	s.LaplaciansBytes += p.LaplaciansBytes
+	s.TotalBytes += p.OrbitCountingBytes + p.LaplaciansBytes
+}
+
 // Other returns the residual time not attributed to a named stage
 // (feature preparation and bookkeeping).
 func (s StageTimings) Other() time.Duration {

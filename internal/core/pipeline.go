@@ -256,11 +256,7 @@ func AlignContext(ctx context.Context, gs, gt *graph.Graph, cfg Config) (*Result
 	}
 	// The eager artifact build happened inside Prepare; fold its cost back
 	// into this run's decomposition so one-shot timings read as before.
-	res.Timings.OrbitCounting += p.prep.OrbitCounting
-	res.Timings.Laplacians += p.prep.Laplacians
-	res.Timings.OrbitCountingBytes += p.prep.OrbitCountingBytes
-	res.Timings.LaplaciansBytes += p.prep.LaplaciansBytes
-	res.Timings.TotalBytes += p.prep.OrbitCountingBytes + p.prep.LaplaciansBytes
+	res.Timings.AddPrepare(p.prep)
 	res.Timings.Total = time.Since(start)
 	return res, nil
 }

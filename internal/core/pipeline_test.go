@@ -208,6 +208,36 @@ func TestStageTimingsBytes(t *testing.T) {
 	}
 }
 
+// TestStageTimingsAddPrepare: folding Prepare's eager build into a
+// staged run adds its orbit and Laplacian cost, times and bytes, and
+// leaves the wall-clock Total to the caller.
+func TestStageTimingsAddPrepare(t *testing.T) {
+	gs, gt, _ := noisyPair(30, 0.1, 2)
+	p, err := Prepare(gs, gt, quickConfig(Full))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Align(quickConfig(Full))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := p.PrepareTimings()
+	if pt.OrbitCounting == 0 || pt.Laplacians == 0 {
+		t.Fatalf("Prepare recorded no eager build: %v", pt)
+	}
+	before := res.Timings
+	tm := before
+	tm.AddPrepare(pt)
+	if tm.OrbitCounting != before.OrbitCounting+pt.OrbitCounting ||
+		tm.Laplacians != before.Laplacians+pt.Laplacians ||
+		tm.OrbitCountingBytes != before.OrbitCountingBytes+pt.OrbitCountingBytes ||
+		tm.LaplaciansBytes != before.LaplaciansBytes+pt.LaplaciansBytes ||
+		tm.TotalBytes != before.TotalBytes+pt.OrbitCountingBytes+pt.LaplaciansBytes ||
+		tm.Total != before.Total {
+		t.Fatalf("AddPrepare(%v) on %v gave %v", pt, before, tm)
+	}
+}
+
 func TestAlignLossHistoryDecreases(t *testing.T) {
 	gs, gt, _ := noisyPair(30, 0.1, 11)
 	res, err := Align(gs, gt, quickConfig(Full))

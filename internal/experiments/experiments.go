@@ -1,10 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section (§V) on the simulated datasets. Each driver returns a
 // structured result plus a text rendering, so the same code backs the
-// htc-experiments CLI, the root benchmark harness, and EXPERIMENTS.md.
+// htc-experiments CLI and the root benchmark harness.
 //
-// Scale note: a Scale of 1.0 runs the laptop-sized defaults documented in
-// DESIGN.md; smaller scales shrink the datasets proportionally for quick
+// Scale note: a Scale of 1.0 runs the laptop-sized defaults each
+// internal/datasets generator documents (its n ≤ 0 size); smaller scales
+// shrink the datasets proportionally for quick
 // runs and benchmarks. The *shape* of each result (method ordering,
 // crossovers, factors) is the reproduction target, not absolute numbers.
 package experiments

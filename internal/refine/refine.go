@@ -26,6 +26,7 @@ import (
 	"github.com/htc-align/htc/internal/align"
 	"github.com/htc-align/htc/internal/dense"
 	"github.com/htc-align/htc/internal/graph"
+	"github.com/htc-align/htc/internal/kbest"
 	"github.com/htc-align/htc/internal/par"
 )
 
@@ -281,10 +282,10 @@ type scratch struct {
 	stampR []int
 	token  []int // stamp marking token-matched columns
 	gen    int
-	vm     []int32 // support of accV
-	um     []int32 // support of accU
-	rm     []int32 // new row support
-	ord    []int32 // token-selection heap: the tokenK best columns of U so far
+	vm     []int32    // support of accV
+	um     []int32    // support of accU
+	rm     []int32    // new row support
+	tokens kbest.Heap // token selection: the tokenK best columns of U
 }
 
 func newScratch(cols int) *scratch {
@@ -435,7 +436,7 @@ func (sc *scratch) updateRow(i int, s *state, gs, gt *graph.Graph, eps float64, 
 		score[c] = v
 	}
 
-	align.SortRowDesc(idx, score)
+	kbest.SortRow(idx, score)
 	if len(idx) > s.k {
 		idx, score = idx[:s.k], score[:s.k]
 	}
@@ -454,50 +455,12 @@ func (sc *scratch) updateRow(i int, s *state, gs, gt *graph.Graph, eps float64, 
 }
 
 // selectTokens returns the tokenK best columns of um (0 < tokenK <
-// len(um)) under the strict total order accU desc, column asc, in heap
-// order rather than rank order. The order being total, the selected set
-// is exactly the first tokenK entries of a full sort, ties included, and
-// callers use the result only as a set. The heap lives in sc.ord with
-// its worst kept column at the root, so each remaining column costs one
-// comparison unless it displaces the root.
+// len(um)) under the shared kbest rule, accU desc, column asc, in heap
+// order rather than rank order; callers use the result only as a set.
 func (sc *scratch) selectTokens(um []int32, tokenK int) []int32 {
-	h := append(sc.ord[:0], um[:tokenK]...)
-	for i := tokenK/2 - 1; i >= 0; i-- {
-		sc.siftDown(h, i)
+	sc.tokens.Reset(tokenK)
+	for _, j := range um {
+		sc.tokens.Offer(j, sc.accU[j])
 	}
-	for _, j := range um[tokenK:] {
-		if sc.better(j, h[0]) {
-			h[0] = j
-			sc.siftDown(h, 0)
-		}
-	}
-	sc.ord = h
-	return h
-}
-
-// better reports whether column a ranks before column b: the higher
-// accU first, ties to the lower column.
-func (sc *scratch) better(a, b int32) bool {
-	if ua, ub := sc.accU[a], sc.accU[b]; ua != ub {
-		return ua > ub
-	}
-	return a < b
-}
-
-// siftDown restores the worst-at-root heap property of h below node i.
-func (sc *scratch) siftDown(h []int32, i int) {
-	for {
-		w, l := i, 2*i+1
-		if l < len(h) && sc.better(h[w], h[l]) {
-			w = l
-		}
-		if r := l + 1; r < len(h) && sc.better(h[w], h[r]) {
-			w = r
-		}
-		if w == i {
-			return
-		}
-		h[i], h[w] = h[w], h[i]
-		i = w
-	}
+	return sc.tokens.Members()
 }

@@ -10,6 +10,7 @@ import (
 	"github.com/htc-align/htc/internal/align"
 	"github.com/htc-align/htc/internal/dense"
 	"github.com/htc-align/htc/internal/graph"
+	"github.com/htc-align/htc/internal/kbest"
 	"github.com/htc-align/htc/internal/metrics"
 )
 
@@ -53,7 +54,7 @@ func fullTopK(m *dense.Matrix) *align.TopKSim {
 			idx[j] = int32(j)
 			score[j] = m.At(i, j)
 		}
-		align.SortRowDesc(idx, score)
+		kbest.SortRow(idx, score)
 		c.Idx[i] = idx
 		c.Score[i] = score
 	}

@@ -97,6 +97,7 @@ func TestDatasetUploadValidation(t *testing.T) {
 		{"over max nodes", "d1", `{"source":"a b\nb c\nc d\nd e\ne f\nf g\n","target":"p q\n"}`, http.StatusBadRequest},
 		{"strict self-loop", "d1", `{"strict":true,"source":"a a\n","target":"p q\n"}`, http.StatusBadRequest},
 		{"malformed json", "d1", `{"source": `, http.StatusBadRequest},
+		{"trailing data", "d1", uploadBody() + " {}", http.StatusBadRequest},
 		// A header-claimed attribute dimension must not commit memory:
 		// the upload path caps MaxAttrDim before dense.New runs.
 		{"huge attr claim", "d1", `{"format":"htc-graph","source":"htc-graph 3 0 100000000\n","target":"p q\n"}`, http.StatusBadRequest},

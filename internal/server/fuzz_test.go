@@ -2,8 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
-	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -29,20 +27,6 @@ func seedFiles(f *testing.F, pattern string) {
 	}
 }
 
-// decodeStrict decodes a request body the way the handlers do: unknown
-// fields and trailing data are errors.
-func decodeStrict(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return errors.New("trailing data after request body")
-	}
-	return nil
-}
-
 // fuzzStore holds the dataset_put.json upload under the id the
 // dataset-backed request fixtures name.
 func fuzzStore(f *testing.F) *datasetStore {
@@ -51,7 +35,7 @@ func fuzzStore(f *testing.F) *datasetStore {
 		f.Fatal(err)
 	}
 	var up DatasetUpload
-	if err := decodeStrict(blob, &up); err != nil {
+	if err := decodeJSON(bytes.NewReader(blob), &up); err != nil {
 		f.Fatal(err)
 	}
 	ds, err := buildDataset("bridge-pair", &up, fuzzMaxNodes, time.Time{})
@@ -76,7 +60,7 @@ func FuzzAlignRequest(f *testing.F) {
 	store := fuzzStore(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req AlignRequest
-		if decodeStrict(data, &req) != nil {
+		if decodeJSON(bytes.NewReader(data), &req) != nil {
 			return
 		}
 		if req.validate(fuzzMaxNodes, store) != nil {
@@ -123,7 +107,7 @@ func FuzzRefineRequest(f *testing.F) {
 	f.Add([]byte(`{"dataset":"d","matching":[["a","b"]],"hits_at":[1,1,2]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req RefineRequest
-		if decodeStrict(data, &req) != nil {
+		if decodeJSON(bytes.NewReader(data), &req) != nil {
 			return
 		}
 		if req.validate() != nil {
@@ -145,7 +129,7 @@ func FuzzBuildDataset(f *testing.F) {
 	f.Add([]byte(`{"source":"a b\n","target":"x y\n","strict":true,"truth":"a q\n"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var up DatasetUpload
-		if decodeStrict(data, &up) != nil {
+		if decodeJSON(bytes.NewReader(data), &up) != nil {
 			return
 		}
 		ds, err := buildDataset("fuzz", &up, fuzzMaxNodes, time.Time{})

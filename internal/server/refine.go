@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -127,21 +126,8 @@ type RefineResult struct {
 // matching and its graph pair, run RefiNA, extract the refined matching
 // and the before/after metrics.
 func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
 	var req RefineRequest
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
-		return
-	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, "trailing data after request body")
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if err := req.validate(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"runtime"
@@ -191,12 +192,7 @@ func (s *Server) runJob(ctx context.Context, job *Job) (any, error) {
 	if !prepHit {
 		// This job paid the eager artifact build inside Prepare; fold it
 		// into the run's stage decomposition like the one-shot API does.
-		pt := prep.PrepareTimings()
-		res.Timings.OrbitCounting += pt.OrbitCounting
-		res.Timings.Laplacians += pt.Laplacians
-		res.Timings.OrbitCountingBytes += pt.OrbitCountingBytes
-		res.Timings.LaplaciansBytes += pt.LaplaciansBytes
-		res.Timings.TotalBytes += pt.OrbitCountingBytes + pt.LaplaciansBytes
+		res.Timings.AddPrepare(prep.PrepareTimings())
 	}
 	out := buildResult(res, pair, job.Req.cutoffs())
 	out.PreparedCached = prepHit
@@ -285,12 +281,7 @@ func (s *Server) runSweep(ctx context.Context, job *Job, pair *datasets.Pair) (*
 		}
 		s.metrics.recordBackend(res)
 		if foldPrep {
-			pt := prep.PrepareTimings()
-			res.Timings.OrbitCounting += pt.OrbitCounting
-			res.Timings.Laplacians += pt.Laplacians
-			res.Timings.OrbitCountingBytes += pt.OrbitCountingBytes
-			res.Timings.LaplaciansBytes += pt.LaplaciansBytes
-			res.Timings.TotalBytes += pt.OrbitCountingBytes + pt.LaplaciansBytes
+			res.Timings.AddPrepare(prep.PrepareTimings())
 			foldPrep = false
 		}
 		out := buildResult(res, pair, job.Req.cutoffs())
@@ -389,21 +380,8 @@ func buildResult(res *core.Result, pair *datasets.Pair, qs []int) *AlignResult {
 // decodeRequest parses and validates a submission body; a nil return
 // means the error response was already written.
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) *AlignRequest {
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
 	var req AlignRequest
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit))
-			return nil
-		}
-		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
-		return nil
-	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, "trailing data after request body")
+	if !s.decodeBody(w, r, &req) {
 		return nil
 	}
 	if err := req.validate(s.opts.MaxNodes, s.datasets); err != nil {
@@ -411,6 +389,43 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) *AlignReq
 		return nil
 	}
 	return &req
+}
+
+// errTrailingData rejects a body that carries more JSON after its value.
+var errTrailingData = errors.New("trailing data after request body")
+
+// decodeJSON decodes exactly one JSON value into v: unknown fields and
+// trailing data are errors.
+func decodeJSON(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if dec.More() {
+		return errTrailingData
+	}
+	return nil
+}
+
+// decodeBody decodes a request body into v through decodeJSON, capped
+// at MaxBodyBytes. A body over the cap answers 413; malformed JSON,
+// unknown fields and trailing data answer 400. A false return means the
+// error response was already written.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := decodeJSON(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit))
+	case errors.Is(err, errTrailingData):
+		writeError(w, http.StatusBadRequest, err.Error())
+	default:
+		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
+	}
+	return false
 }
 
 // handleDatasetPut ingests a dataset upload: both graphs through the
@@ -422,17 +437,8 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
 	var up DatasetUpload
-	if err := dec.Decode(&up); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
+	if !s.decodeBody(w, r, &up) {
 		return
 	}
 	ds, err := buildDataset(id, &up, s.opts.MaxNodes, time.Now().UTC())
